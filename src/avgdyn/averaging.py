@@ -178,11 +178,7 @@ def validity_ratio(hamiltonian: HarmonicHamiltonian, samples: int = 512) -> floa
     if not hamiltonian.terms:
         return 0.0
     w_min = min(w for _, w in hamiltonian.terms)
-    hf = hamiltonian.as_fourier()
     ts = np.linspace(0.0, 2 * np.pi / w_min, samples, endpoint=False)
-    eta = 0.0
-    for t in ts:
-        h = hf.evaluate(t)
-        h = (h + h.conj().T) / 2.0
-        eta = max(eta, float(np.abs(np.linalg.eigvalsh(h)).max()))
-    return eta / w_min
+    h = hamiltonian.as_fourier().evaluate(ts)
+    h = (h + h.conj().transpose(0, 2, 1)) / 2.0
+    return float(np.abs(np.linalg.eigvalsh(h)).max()) / w_min

@@ -1,9 +1,10 @@
 """Fixed-step propagation of exact and averaged density-matrix dynamics.
 
-Classical 4th-order Runge-Kutta with a fixed step: deterministic,
-reproducible trajectories suitable for golden-file comparisons.  Exact
-evolution integrates i d(rho)/dt = [H(t), rho]; averaged evolution uses
-an :class:`~avgdyn.harmonic.EffectiveGenerator` right-hand side.
+The exact equation i d(rho)/dt = [H(t), rho], the averaged master
+equation of an :class:`~avgdyn.harmonic.EffectiveGenerator` and the Raman
+Bloch system are all linear, dv/dt = L(t) v: :func:`propagate_linear`
+integrates each with one chunked, fixed-step classical RK4, giving
+deterministic trajectories suitable for golden-file comparisons.
 """
 
 from __future__ import annotations
@@ -15,14 +16,18 @@ import numpy as np
 
 from .fourier import FourierOperator
 from .harmonic import EffectiveGenerator
-from .linalg import require_density
+from .linalg import commutator_superop, require_density, vectorize
 
-__all__ = ["TimeGrid", "Trajectory", "propagate_exact", "propagate_effective"]
+__all__ = ["TimeGrid", "Trajectory", "propagate_linear", "propagate_exact",
+           "propagate_effective"]
 
 logger = logging.getLogger(__name__)
 
 MAX_STEPS = 10_000_000
 TRACE_RENORM_TOL = 1e-12
+# Bytes per chunk stack of generator or increment matrices: bounds the
+# memory of a propagation independently of its length.
+CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -72,49 +77,103 @@ class Trajectory:
         return np.linalg.eigvalsh(sym)[:, 0]
 
 
-def _renormalize_trace(rho, t):
-    tr = rho.trace()
-    drift = abs(tr - 1.0)
-    if drift > TRACE_RENORM_TOL:
-        logger.warning("trace drifted by %.3e at t=%.6g; renormalizing", drift, t)
-        rho = rho / tr
-    return rho
+def _steps_per_chunk(size, dtype) -> int:
+    """Steps k per chunk, so that the chunk's 2k+1 generator matrices fit in CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (2 * size * size * np.dtype(dtype).itemsize))
+
+
+def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
+    """Integrate dv/dt = L(t) v with fixed-step classical RK4.
+
+    ``generators(times)`` returns the stack of L matrices at a 1-D array
+    of times; it is called once per chunk of steps, at the chunk's grid and
+    half-step times.  Each step's increment matrix X = P - I (the RK4
+    transfer matrix minus the identity) is built with batched products, so
+    only v <- v + X v runs step by step.  Returns the (n_steps + 1, len(v0))
+    trajectory in the dtype of ``v0``.
+    """
+    v = np.array(v0)
+    n, dt = grid.n_steps, grid.dt
+    out = np.empty((n + 1, v.size), dtype=v.dtype)
+    out[0] = v
+    chunk = _steps_per_chunk(v.size, v.dtype)
+    for start in range(0, n, chunk):
+        k = min(chunk, n - start)
+        half_steps = np.arange(2 * start, 2 * (start + k) + 1)
+        hl = dt * generators(grid.t0 + (0.5 * dt) * half_steps)
+        hl_mid = hl[1::2]
+        # RK4 stages as matrices acting on the step's initial state, with
+        # the identity left out so that rounding stays at the size of X
+        k1 = hl[:-1:2]
+        k2 = hl_mid + 0.5 * (hl_mid @ k1)
+        k3 = hl_mid + 0.5 * (hl_mid @ k2)
+        k4 = hl[2::2] + hl[2::2] @ k3
+        increments = (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+        for j, x in enumerate(increments, start + 1):
+            v = v + x @ v
+            out[j] = v
+    return out
+
+
+def _renormalize_traces(states, grid: TimeGrid) -> None:
+    """Renormalize in place, with a logged warning, each state whose trace
+    drifted beyond TRACE_RENORM_TOL since the last renormalization.
+
+    The equation is linear, so renormalizing a state during propagation
+    divides every later state by the same trace.  Scanning one window at a
+    time keeps the cost linear even when renormalization is frequent.
+    """
+    traces = np.einsum("tii->t", states)
+    window = _steps_per_chunk(states.shape[1] ** 2, states.dtype)
+    events, scales = [0], [1.0]
+    k = 1
+    while k < len(traces):
+        drift = np.abs(traces[k:k + window] / scales[-1] - 1.0)
+        over = np.flatnonzero(drift > TRACE_RENORM_TOL)
+        if over.size:
+            j = k + over[0]
+            logger.warning("trace drifted by %.3e at t=%.6g; renormalizing",
+                           drift[over[0]], grid.t0 + grid.dt * j)
+            events.append(j)
+            scales.append(traces[j])
+            k = j + 1
+        else:
+            k += window
+    if len(events) > 1:
+        states /= np.repeat(scales, np.diff(events + [len(traces)]))[:, None, None]
+
+
+def _propagate_density(generators, rho0, grid: TimeGrid) -> Trajectory:
+    """Propagate a column-stacked density matrix and renormalize its trace."""
+    d = rho0.shape[0]
+    vecs = propagate_linear(generators, vectorize(rho0), grid)
+    # row t of vecs is vec(rho_t), which is rho_t.T in row-major order
+    states = vecs.reshape(-1, d, d).transpose(0, 2, 1)
+    _renormalize_traces(states, grid)
+    return Trajectory(grid.times(), states)
 
 
 def propagate_exact(hamiltonian: FourierOperator, rho0, grid: TimeGrid,
                     herm_tol: float = 1e-10) -> Trajectory:
     """Integrate i d(rho)/dt = [H(t), rho] with fixed-step RK4.
 
-    H(t) is checked for Hermiticity at every grid point; the trace is
-    renormalized (and logged) only if it drifts beyond 1e-12.
+    H(t) is checked for Hermiticity at every time the integrator evaluates
+    it (grid and half-step times); the trace is renormalized (and logged)
+    only if it drifts beyond 1e-12.
     """
     rho = require_density(rho0)
     d = rho.shape[0]
     if hamiltonian.dim != d:
         raise ValueError(f"Hamiltonian dim {hamiltonian.dim} != state dim {d}")
-    n = grid.n_steps
-    dt = grid.dt
-    out = np.empty((n + 1, d, d), dtype=complex)
-    out[0] = rho
-    h_curr = hamiltonian.evaluate(grid.t0)
-    for k in range(n):
-        t = grid.t0 + k * dt
-        if np.abs(h_curr - h_curr.conj().T).max() > herm_tol:
-            raise ValueError(f"Hamiltonian is not Hermitian at t={t:.6g}")
-        h_mid = hamiltonian.evaluate(t + 0.5 * dt)
-        h_next = hamiltonian.evaluate(t + dt)
-        k1 = -1j * (h_curr @ rho - rho @ h_curr)
-        y = rho + (0.5 * dt) * k1
-        k2 = -1j * (h_mid @ y - y @ h_mid)
-        y = rho + (0.5 * dt) * k2
-        k3 = -1j * (h_mid @ y - y @ h_mid)
-        y = rho + dt * k3
-        k4 = -1j * (h_next @ y - y @ h_next)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = _renormalize_trace(rho, t + dt)
-        out[k + 1] = rho
-        h_curr = h_next
-    return Trajectory(grid.times(), out)
+
+    def generators(times):
+        h = hamiltonian.evaluate(times)
+        bad = np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > herm_tol
+        if bad.any():
+            raise ValueError(f"Hamiltonian is not Hermitian at t={times[bad.argmax()]:.6g}")
+        return -1j * commutator_superop(h)
+
+    return _propagate_density(generators, rho, grid)
 
 
 def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid,
@@ -129,21 +188,7 @@ def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid,
     d = rho.shape[0]
     if generator.dim != d:
         raise ValueError(f"generator dim {generator.dim} != state dim {d}")
-    rhs = generator.master_rhs
-    n = grid.n_steps
-    dt = grid.dt
-    out = np.empty((n + 1, d, d), dtype=complex)
-    out[0] = rho
-    for k in range(n):
-        t = grid.t0 + k * dt
-        k1 = rhs(rho, t)
-        k2 = rhs(rho + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = rhs(rho + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = rhs(rho + dt * k3, t + dt)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = _renormalize_trace(rho, t + dt)
-        out[k + 1] = rho
-    traj = Trajectory(grid.times(), out)
+    traj = _propagate_density(generator.liouvillian_matrix, rho, grid)
     min_eig = traj.min_eigenvalues().min()
     if min_eig < -positivity_tol:
         logger.warning("averaged evolution dipped to min eigenvalue %.3e", min_eig)

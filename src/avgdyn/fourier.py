@@ -183,17 +183,14 @@ class FourierOperator:
         return FourierOperator(self.dim, terms)
 
     def evaluate(self, t) -> np.ndarray:
-        t = float(t)
-        if not self._terms:
-            return np.zeros((self.dim, self.dim), dtype=complex)
+        """Value at time t, or the (len(t), dim, dim) stack at a 1-D array of times."""
+        t = np.asarray(t, dtype=float)[..., None]
         weights = np.exp((1j * t) * self._nus) * (t ** self._ps)
-        return np.einsum("k,kij->ij", weights, self._coeffs)
+        return np.einsum("...k,kij->...ij", weights, self._coeffs)
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude over all terms (0 for the zero sum)."""
-        if not self._terms:
-            return 0.0
-        return float(np.abs(self._coeffs).max())
+        return float(np.abs(self._coeffs).max(initial=0.0))
 
     def __repr__(self):
         ts = ", ".join(f"(nu={nu:g}, p={p})" for _, nu, p in self._terms)

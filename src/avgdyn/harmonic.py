@@ -175,9 +175,6 @@ class EffectiveGenerator:
         Trace-annihilating and Hermiticity-preserving; exactly the zero
         matrix when all drive frequencies coincide.
         """
-        d2 = self.dim * self.dim
-        if not self._deco.terms:
-            return np.zeros((d2, d2), dtype=complex)
         return self._deco.evaluate(t)
 
     def master_rhs(self, rho, t) -> np.ndarray:
@@ -193,7 +190,8 @@ class EffectiveGenerator:
         return -1j * out
 
     def liouvillian_matrix(self, t) -> np.ndarray:
-        """Superoperator matrix of master_rhs at time t (acts on vec(rho))."""
+        """Superoperator matrix of master_rhs at time t (acts on vec(rho));
+        a 1-D array of times gives the stack of matrices."""
         gen = commutator_superop(self._h_eff.evaluate(t))
         if self._deco.terms:
             gen = gen + self._deco.evaluate(t)

@@ -36,11 +36,11 @@ __all__ = [
 ]
 
 
-def _as_square(a, name="operator"):
+def _as_square(a, name="operator", stack=False):
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -91,10 +91,10 @@ def sandwich_superop(left, right):
 
 
 def commutator_superop(h):
-    """Matrix of rho -> [h, rho]."""
-    h = _as_square(h)
-    eye = np.eye(h.shape[0])
-    return np.kron(eye, h) - np.kron(h.T, eye)
+    """Matrix of rho -> [h, rho]; a (..., d, d) stack gives the stack of matrices."""
+    h = _as_square(h, stack=True)
+    eye = np.eye(h.shape[-1])
+    return np.kron(eye, h) - np.kron(np.swapaxes(h, -1, -2), eye)
 
 
 def anticommutator_superop(c):
@@ -214,16 +214,17 @@ def gellmann_basis() -> GellMannBasis:
 
 
 def bloch_decompose(rho) -> np.ndarray:
-    """Coefficients (r_x, r_y, r_z, r_w, r_xa, r_ya, r_xb, r_yb) of a 3x3 state.
+    """Coefficients (r_x, r_y, r_z, r_w, r_xa, r_ya, r_xb, r_yb) of a 3x3 state,
+    or of each state in a (..., 3, 3) stack.
 
     The identity carries the fixed coefficient 1/3 so that the expansion
     has unit trace; the remaining coefficients are tr(rho G)/tr(G^2).
     """
-    rho = _as_square(rho)
-    if rho.shape != (3, 3):
+    rho = _as_square(rho, stack=True)
+    if rho.shape[-2:] != (3, 3):
         raise ValueError(f"Bloch decomposition needs a 3x3 operator, got {rho.shape}")
-    basis = gellmann_basis()
-    return np.array([np.trace(rho @ g).real / 2.0 for g in basis.elements()])
+    elements = np.stack(gellmann_basis().elements())
+    return np.einsum("...ij,kji->...k", rho, elements).real / 2.0
 
 
 def bloch_compose(coeffs) -> np.ndarray:

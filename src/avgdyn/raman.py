@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeGrid
+from .dynamics import TimeGrid, propagate_linear
 
 __all__ = [
     "RamanParams",
@@ -98,16 +98,19 @@ def raman_coefficients(params: RamanParams) -> tuple[float, float, float, float]
     return alpha, beta, gamma, w1 - w2
 
 
-def bloch_matrix(params: RamanParams, theta: float) -> np.ndarray:
-    """The 4x4 coefficient matrix A(theta) of dr/dt = A r."""
+def bloch_matrix(params: RamanParams, theta) -> np.ndarray:
+    """The 4x4 coefficient matrix A(theta) of dr/dt = A r; a 1-D array of
+    angles gives the (len(theta), 4, 4) stack."""
     a, b, g, _ = raman_coefficients(params)
-    s, c = math.sin(theta), math.cos(theta)
-    return np.array([
-        [0.0, -a, -b * s, -g * s],
-        [a, 0.0, -b * c, -g * c],
-        [b * s, b * c, 0.0, 0.0],
-        [-g * s, -g * c, 0.0, 0.0],
+    s, c = np.sin(theta), np.cos(theta)
+    zero = np.zeros_like(s)
+    m = np.array([
+        [zero, np.full_like(s, -a), -b * s, -g * s],
+        [np.full_like(s, a), zero, -b * c, -g * c],
+        [b * s, b * c, zero, zero],
+        [-g * s, -g * c, zero, zero],
     ])
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 def bloch_rhs(params: RamanParams, state, t):
@@ -150,60 +153,9 @@ def integrate_bloch(params: RamanParams, r0, grid: TimeGrid) -> tuple[np.ndarray
     Works in every regime, including the overdamped one rejected by the
     analytic solution.
     """
-    a, b, g, rate = raman_coefficients(params)
-    r = np.asarray(r0.as_array() if isinstance(r0, BlochState) else r0, dtype=float)
-    rx, ry, rz, rw = (float(v) for v in r)
-    n = grid.n_steps
-    dt = grid.dt
-    out = np.empty((n + 1, 4))
-    out[0] = (rx, ry, rz, rw)
-    sin, cos = math.sin, math.cos
-    for k in range(n):
-        t = grid.t0 + k * dt
-        s0, c0 = sin(rate * t), cos(rate * t)
-        tm = t + 0.5 * dt
-        s1, c1 = sin(rate * tm), cos(rate * tm)
-        t2 = t + dt
-        s2, c2 = sin(rate * t2), cos(rate * t2)
-
-        k1x = -a * ry - b * s0 * rz - g * s0 * rw
-        k1y = a * rx - b * c0 * rz - g * c0 * rw
-        k1z = b * s0 * rx + b * c0 * ry
-        k1w = -g * s0 * rx - g * c0 * ry
-
-        x = rx + 0.5 * dt * k1x
-        y = ry + 0.5 * dt * k1y
-        z = rz + 0.5 * dt * k1z
-        w = rw + 0.5 * dt * k1w
-        k2x = -a * y - b * s1 * z - g * s1 * w
-        k2y = a * x - b * c1 * z - g * c1 * w
-        k2z = b * s1 * x + b * c1 * y
-        k2w = -g * s1 * x - g * c1 * y
-
-        x = rx + 0.5 * dt * k2x
-        y = ry + 0.5 * dt * k2y
-        z = rz + 0.5 * dt * k2z
-        w = rw + 0.5 * dt * k2w
-        k3x = -a * y - b * s1 * z - g * s1 * w
-        k3y = a * x - b * c1 * z - g * c1 * w
-        k3z = b * s1 * x + b * c1 * y
-        k3w = -g * s1 * x - g * c1 * y
-
-        x = rx + dt * k3x
-        y = ry + dt * k3y
-        z = rz + dt * k3z
-        w = rw + dt * k3w
-        k4x = -a * y - b * s2 * z - g * s2 * w
-        k4y = a * x - b * c2 * z - g * c2 * w
-        k4z = b * s2 * x + b * c2 * y
-        k4w = -g * s2 * x - g * c2 * y
-
-        sixth = dt / 6.0
-        rx += sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-        ry += sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-        rz += sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
-        rw += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-        out[k + 1] = (rx, ry, rz, rw)
+    rate = raman_coefficients(params)[3]
+    state = r0 if isinstance(r0, BlochState) else BlochState.from_array(r0)
+    out = propagate_linear(lambda ts: bloch_matrix(params, rate * ts), state.as_array(), grid)
     return grid.times(), out
 
 

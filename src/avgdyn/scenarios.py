@@ -23,7 +23,7 @@ from .dynamics import TimeGrid, Trajectory, propagate_effective, propagate_exact
 from .fourier import AveragingFilter
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
 from .linalg import BLOCH_LABELS, bloch_decompose, validate_density
-from .signals import dominant_frequency, lowpass_series
+from .signals import MIN_SAMPLES, dominant_frequency, lowpass_series
 
 __all__ = [
     "ScenarioError",
@@ -79,7 +79,7 @@ def _matrix_from_json(value, problems, key):
         return None
 
 
-def _positive(data, key, problems, default=None, required=True):
+def _number(data, key, problems, default=None, required=True, positive=True):
     if key not in data:
         if required:
             problems.append(f"missing required key '{key}'")
@@ -89,8 +89,8 @@ def _positive(data, key, problems, default=None, required=True):
     except (TypeError, ValueError):
         problems.append(f"{key}: expected a number, got {data[key]!r}")
         return default
-    if not v > 0 or not math.isfinite(v):
-        problems.append(f"{key}: must be a positive finite number, got {v}")
+    if not math.isfinite(v) or (positive and not v > 0):
+        problems.append(f"{key}: must be a {'positive ' if positive else ''}finite number, got {v}")
         return default
     return v
 
@@ -113,6 +113,11 @@ class ScenarioConfig:
             return AveragingFilter(self.cutoff)
         return default_filter(self.hamiltonian)
 
+    def compares(self) -> bool:
+        """Whether a run compares the exact and averaged trajectories."""
+        return (math.isfinite(self.averaging_filter().cutoff)
+                and "entries" in self.outputs and self.hamiltonian.dim >= 2)
+
 
 _DEFAULT_INITIALS = {
     # equal populations with Re rho_12 = 0.5 (documented default, not forced)
@@ -134,10 +139,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     for key in sorted(unknown):
         problems.append(f"unknown key '{key}' for kind '{kind}'")
 
-    t0 = float(data.get("t0", 0.0))
-    t_max = _positive(data, "t_max", problems)
-    dt = _positive(data, "dt", problems)
-    cutoff = _positive(data, "cutoff", problems, required=False)
+    t0 = _number(data, "t0", problems, default=0.0, required=False, positive=False)
+    t_max = _number(data, "t_max", problems)
+    dt = _number(data, "dt", problems)
+    cutoff = _number(data, "cutoff", problems, required=False)
 
     outputs = data.get("outputs", list(_OUTPUT_GROUPS))
     if not isinstance(outputs, list) or not all(o in _OUTPUT_GROUPS for o in outputs):
@@ -148,8 +153,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     hamiltonian = None
     time_scale = 1.0
     if kind == "ac_stark":
-        b = _positive(data, "b", problems)
-        delta = _positive(data, "delta", problems, default=1.0, required=False)
+        b = _number(data, "b", problems)
+        delta = _number(data, "delta", problems, default=1.0, required=False)
         if delta is None:
             delta = 1.0
         if b is not None:
@@ -160,10 +165,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             params = {"b": b, "delta": delta, "Omega": omega_rabi}
             time_scale = delta
     elif kind == "raman":
-        o1 = _positive(data, "Omega1", problems)
-        o2 = _positive(data, "Omega2", problems)
-        w1 = _positive(data, "omega1", problems)
-        w2 = _positive(data, "omega2", problems)
+        o1 = _number(data, "Omega1", problems)
+        o2 = _number(data, "Omega2", problems)
+        w1 = _number(data, "omega1", problems)
+        w2 = _number(data, "omega2", problems)
         if None not in (o1, o2, w1, w2):
             h1 = np.zeros((3, 3), dtype=complex)
             h1[2, 0] = o1 / 2.0
@@ -187,7 +192,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                 problems.append(f"terms[{i}]: expected an object with keys 'h', 'omega'")
                 continue
             h = _matrix_from_json(entry["h"], problems, f"terms[{i}].h")
-            w = _positive(entry, "omega", problems)
+            w = _number(entry, "omega", problems)
             if h is not None and w is not None:
                 terms.append((h, w))
         if h0 is not None:
@@ -224,7 +229,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     if problems:
         raise ScenarioError(problems)
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         kind=kind,
         hamiltonian=hamiltonian,
         grid=grid,
@@ -234,6 +239,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         time_scale=time_scale,
         params=params,
     )
+    n_samples = grid.n_steps + 1
+    if cfg.compares() and n_samples < MIN_SAMPLES:
+        raise ScenarioError([f"grid: {n_samples} samples, but comparing the "
+                             f"trajectories needs at least {MIN_SAMPLES}"])
+    return cfg
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -285,7 +295,7 @@ def build_record(traj: Trajectory, time_scale: float = 1.0,
                 columns.append(f"rho{i + 1}{j + 1}_im")
                 series.append(traj.entry(i, j).imag)
     if "bloch" in outputs and d == 3:
-        coeffs = np.array([bloch_decompose(s) for s in traj.states])
+        coeffs = bloch_decompose(traj.states)
         for k, label in enumerate(BLOCH_LABELS):
             columns.append(f"bloch_{label}")
             series.append(coeffs[:, k])
@@ -339,7 +349,7 @@ def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,
     xb = lowpass_series(b.column(column), dt, cutoff)
     n = xa.size
     margin = int(round(2.0 * np.pi / (cutoff * dt)))
-    margin = max(0, min(margin, (n - 64) // 2))
+    margin = max(0, min(margin, (n - MIN_SAMPLES) // 2))
     xa = xa[margin:n - margin]
     xb = xb[margin:n - margin]
     freq_a = dominant_frequency(xa, dt)
@@ -392,7 +402,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         "min_eigenvalue_exact": float(traj_exact.min_eigenvalues().min()),
         "min_eigenvalue_effective": float(traj_eff.min_eigenvalues().min()),
     }
-    if math.isfinite(filt.cutoff) and "entries" in cfg.outputs and cfg.hamiltonian.dim >= 2:
+    if cfg.compares():
         # cutoff in reported time units, matching the CSV t column
         metrics = compare_trajectories(
             rec_exact, rec_eff, filt.cutoff / cfg.time_scale

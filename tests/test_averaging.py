@@ -372,3 +372,15 @@ class TestValidityRatio:
         ham = HarmonicHamiltonian(np.zeros((3, 3)), ((h1, 1.0), (h2, 1.02)))
         # spectral radius sqrt(0.05^2 + 0.05^2) over min frequency 1.0
         assert_allclose(validity_ratio(ham), np.hypot(0.05, 0.05), rtol=1e-6)
+
+    def test_matches_per_sample_loop(self):
+        rng = np.random.default_rng(22)
+        ham = random_harmonic(rng, 3, 2, strength=0.3)
+        w_min = min(ham.frequencies())
+        hf = ham.as_fourier()
+        eta = 0.0
+        for t in np.linspace(0.0, 2 * np.pi / w_min, 512, endpoint=False):
+            h = hf.evaluate(t)
+            h = (h + h.conj().T) / 2.0
+            eta = max(eta, float(np.abs(np.linalg.eigvalsh(h)).max()))
+        assert abs(validity_ratio(ham) - eta / w_min) <= 1e-15

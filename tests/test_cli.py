@@ -34,6 +34,31 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("t0, message", [
+        ([1], "t0: expected a number, got [1]"),
+        ("nan", "t0: must be a finite number, got nan"),
+        ("inf", "t0: must be a finite number, got inf"),
+    ])
+    def test_malformed_t0(self, tmp_path, capsys, t0, message):
+        path = tmp_path / "t0.json"
+        path.write_text(json.dumps(
+            {"kind": "ac_stark", "b": 0.3, "t_max": 20, "dt": 0.01, "t0": t0}
+        ), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_grid_too_short_to_compare(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(
+            {"kind": "ac_stark", "b": 0.3, "dt": 3.0, "t_max": 40}
+        ), encoding="utf-8")
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: grid: 14 samples, but comparing the trajectories "
+                "needs at least 64\n")
+
 
 class TestRun:
     def test_writes_outputs(self, small_config, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,11 +10,62 @@ from avgdyn import (
     EffectiveGenerator,
     FourierOperator,
     HarmonicHamiltonian,
+    RamanParams,
     TimeGrid,
+    bloch_rhs,
+    integrate_bloch,
     propagate_effective,
     propagate_exact,
 )
+from avgdyn.dynamics import TRACE_RENORM_TOL, _steps_per_chunk
 from util import random_density, random_harmonic, random_hermitian
+
+
+def reference_rk4(rhs, y0, grid, renormalize):
+    """Per-step classical RK4 on rhs(y, t), renormalizing the trace of a
+    density matrix wherever it drifts beyond TRACE_RENORM_TOL.  This is
+    the loop the chunked propagator replaced, kept as its reference.
+    Returns the trajectory and the times at which it renormalized."""
+    y = np.array(y0)
+    dt = grid.dt
+    out, renormalized = [y], []
+    for k in range(grid.n_steps):
+        t = grid.t0 + k * dt
+        k1 = rhs(y, t)
+        k2 = rhs(y + (0.5 * dt) * k1, t + 0.5 * dt)
+        k3 = rhs(y + (0.5 * dt) * k2, t + 0.5 * dt)
+        k4 = rhs(y + dt * k3, t + dt)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if renormalize and abs(y.trace() - 1.0) > TRACE_RENORM_TOL:
+            renormalized.append(f"{t + dt:.6g}")
+            y = y / y.trace()
+        out.append(y)
+    return np.array(out), renormalized
+
+
+def commutator_rhs(hamiltonian):
+    def rhs(rho, t):
+        h = hamiltonian.evaluate(t)
+        return -1j * (h @ rho - rho @ h)
+    return rhs
+
+
+def renormalized_times(caplog):
+    return [re.search(r"at t=(\S+);", r.getMessage()).group(1)
+            for r in caplog.records if r.getMessage().startswith("trace drifted")]
+
+
+class LeakyGenerator(EffectiveGenerator):
+    """Averaged generator plus uniform decay rho' -= leak * rho, so the
+    trace drifts by about leak * dt per step."""
+
+    leak = 3.5e-11
+
+    def master_rhs(self, rho, t):
+        return super().master_rhs(rho, t) - self.leak * np.asarray(rho)
+
+    def liouvillian_matrix(self, t):
+        return super().liouvillian_matrix(t) - self.leak * np.eye(self.dim ** 2)
 
 
 def ac_stark_fourier(omega_rabi=0.3, delta=1.0):
@@ -143,3 +197,72 @@ class TestPropagateEffective:
             EffectiveGenerator(HarmonicHamiltonian(h0)), rho0, grid
         )
         assert_allclose(eff.states[-1], exact.states[-1], atol=1e-12)
+
+
+def chunk_lengths(size, dtype):
+    chunk = _steps_per_chunk(size, dtype)
+    return [1, chunk, chunk + 1]
+
+
+def grid_with_steps(n, dt):
+    grid = TimeGrid(0.3, 0.3 + dt * n, dt)
+    assert grid.n_steps == n
+    return grid
+
+
+class TestAgainstPerStepLoop:
+    """The chunked propagator against the per-step loop it replaced, for
+    one step, exactly one chunk, and one chunk plus a step."""
+
+    @pytest.mark.parametrize("n", chunk_lengths(9, complex))
+    def test_exact(self, n):
+        rng = np.random.default_rng(10)
+        ham = random_harmonic(rng, 3, 2, strength=0.2).as_fourier()
+        rho0 = random_density(rng, 3)
+        grid = grid_with_steps(n, 0.02)
+        want, _ = reference_rk4(commutator_rhs(ham), rho0, grid, renormalize=True)
+        assert np.abs(propagate_exact(ham, rho0, grid).states - want).max() < 1e-13
+
+    @pytest.mark.parametrize("n", chunk_lengths(9, complex))
+    def test_effective(self, n):
+        rng = np.random.default_rng(11)
+        gen = EffectiveGenerator(random_harmonic(rng, 3, 2, strength=0.2))
+        rho0 = random_density(rng, 3)
+        grid = grid_with_steps(n, 0.02)
+        want, _ = reference_rk4(gen.master_rhs, rho0, grid, renormalize=True)
+        assert np.abs(propagate_effective(gen, rho0, grid).states - want).max() < 1e-13
+
+    @pytest.mark.parametrize("n", chunk_lengths(4, float))
+    def test_bloch(self, n):
+        params = RamanParams(0.1, 0.1, 1.0, 1.02)
+        r0 = np.array([0.3, 0.2, 0.4, 0.1])
+        grid = grid_with_steps(n, 0.5)
+        want, _ = reference_rk4(lambda r, t: bloch_rhs(params, r, t), r0, grid,
+                                renormalize=False)
+        _, rows = integrate_bloch(params, r0, grid)
+        assert rows.dtype == np.float64
+        assert np.abs(rows - want).max() < 1e-13
+
+    def test_leaking_trace_renormalized_at_the_same_steps(self, caplog):
+        rng = np.random.default_rng(12)
+        gen = LeakyGenerator(random_harmonic(rng, 2, 2, strength=0.2))
+        rho0 = random_density(rng, 2)
+        grid = grid_with_steps(2 * _steps_per_chunk(4, complex) + 7, 0.01)
+        want, want_times = reference_rk4(gen.master_rhs, rho0, grid, renormalize=True)
+        with caplog.at_level(logging.WARNING, logger="avgdyn.dynamics"):
+            traj = propagate_effective(gen, rho0, grid)
+        assert len(want_times) > grid.n_steps // 4
+        assert renormalized_times(caplog) == want_times
+        assert np.abs(traj.states - want).max() < 1e-13
+
+
+def test_non_hermitian_only_at_half_steps_rejected():
+    # A sin(pi t / dt) vanishes at the grid points, not between them
+    dt = 0.1
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    nu = np.pi / dt
+    h = FourierOperator(2, [(a / 2j, nu, 0), (-a / 2j, -nu, 0)])
+    grid = TimeGrid(0.0, 1.0, dt)
+    assert max(np.abs(h.evaluate(t)).max() for t in grid.times()) < 1e-12
+    with pytest.raises(ValueError, match=r"not Hermitian at t=0\.05"):
+        propagate_exact(h, np.eye(2, dtype=complex) / 2, grid)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from avgdyn import (
+    BLOCH_LABELS,
     ScenarioError,
     TrajectoryRecord,
     build_record,
@@ -76,6 +77,13 @@ class TestLoadScenario:
         })
         assert cfg.hamiltonian.h0[0, 1] == 0.2j
         assert cfg.hamiltonian.terms[0][1] == 2.0
+
+    def test_short_grid_allowed_when_nothing_is_compared(self):
+        short = {"kind": "ac_stark", "b": 0.3, "dt": 3.0, "t_max": 40}
+        with pytest.raises(ScenarioError, match="at least 64"):
+            scenario_from_dict(short)
+        cfg = scenario_from_dict(dict(short, outputs=["purity"]))
+        assert not cfg.compares()
 
     def test_custom_requires_initial(self):
         with pytest.raises(ScenarioError, match="initial"):
@@ -151,6 +159,19 @@ class TestRunScenario:
         result = run_scenario(cfg)
         for label in ("bloch_x", "bloch_w", "bloch_yb"):
             assert label in result.effective.columns
+
+    def test_bloch_columns_match_per_row_decomposition(self):
+        from avgdyn import EffectiveGenerator, bloch_decompose, propagate_effective
+        cfg = scenario_from_dict({
+            "kind": "raman", "Omega1": 0.1, "Omega2": 0.1,
+            "omega1": 1.0, "omega2": 1.05, "t_max": 20, "dt": 0.05,
+        })
+        traj = propagate_effective(EffectiveGenerator(cfg.hamiltonian), cfg.initial, cfg.grid)
+        record = build_record(traj)
+        per_row = np.array([bloch_decompose(s) for s in traj.states])
+        stacked = np.column_stack([record.column(f"bloch_{label}")
+                                   for label in BLOCH_LABELS])
+        assert np.abs(stacked - per_row).max() <= 1e-15
 
 
 class TestCsv:
