@@ -1,76 +1,25 @@
-"""avgdyn: time-averaged density-matrix dynamics for harmonically driven systems."""
+"""avgdyn: time-averaged density-matrix dynamics for harmonically driven systems.
 
-from .averaging import (
-    MAX_ORDER,
-    SuperoperatorSeries,
-    decoherence_map,
-    drive_covariance,
-    dyson_terms,
-    forward_series,
-    generator_series,
-    inverse_series,
-    validity_ratio,
-)
-from .dynamics import TimeGrid, Trajectory, propagate_effective, propagate_exact
-from .fourier import (
-    AveragingFilter,
-    FourierOperator,
-    FourierTerm,
-    lowpass_average,
-    sandwich,
-    windowed_average,
-)
-from .harmonic import (
-    EffectiveGenerator,
-    HarmonicHamiltonian,
-    default_filter,
-    first_order_dyson,
-    inverse_frequency_pair,
-)
-from .linalg import (
-    BLOCH_LABELS,
-    DensityReport,
-    GellMannBasis,
-    anticommutator,
-    anticommutator_superop,
-    bloch_compose,
-    bloch_decompose,
-    commutator,
-    commutator_superop,
-    dagger,
-    gellmann_basis,
-    require_density,
-    sandwich_superop,
-    unvectorize,
-    validate_density,
-    vectorize,
-)
+The package namespace holds the paper's pipeline: the series engine, the
+harmonic Hamiltonian and its closed-form averaged generator, exact and
+averaged propagation, the Raman Bloch closed form, the scenario entry
+points and the spectral helpers that compare trajectories.  Everything
+else is imported from the module that defines it.
+"""
+
+from .averaging import forward_series, generator_series, inverse_series
+from .dynamics import TimeGrid, propagate_effective, propagate_exact
+from .fourier import FourierOperator
+from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
+from .linalg import gellmann_basis
 from .raman import (
-    BlochState,
-    OverdampedError,
     RamanParams,
     RotatingSolution,
-    bloch_matrix,
-    bloch_rhs,
-    corotate,
     integrate_bloch,
     purity_rate,
-    raman_analytic,
     raman_coefficients,
 )
-from .scenarios import (
-    RunResult,
-    ScenarioConfig,
-    ScenarioError,
-    TrajectoryRecord,
-    build_record,
-    compare_trajectories,
-    emit_csv,
-    load_scenario,
-    read_csv,
-    run_scenario,
-    scenario_from_dict,
-)
+from .scenarios import ScenarioError, load_scenario, run_scenario, scenario_from_dict
 from .signals import dft_resolution, dominant_frequency, lowpass_series
 
 __version__ = "0.1.0"

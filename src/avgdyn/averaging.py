@@ -33,8 +33,6 @@ __all__ = [
     "forward_series",
     "inverse_series",
     "generator_series",
-    "drive_covariance",
-    "decoherence_map",
     "validity_ratio",
 ]
 
@@ -135,39 +133,6 @@ def generator_series(hamiltonian, filt: AveragingFilter, t0, order) -> Superoper
             acc = acc + (rates[k - j] @ inv.maps[j])
         maps.append(1j * acc)
     return SuperoperatorSeries(hamiltonian.dim, tuple(maps))
-
-
-def drive_covariance(hamiltonian, filt: AveragingFilter, t0):
-    """Averaging covariance avg(H U_1) - avg(H) avg(U_1), and the
-    first-order effective Hamiltonian avg(H) + (cov + cov†)/2 built from
-    its Hermitian part.
-    """
-    u1 = dyson_terms(hamiltonian, t0, 1)[0]
-    h_avg = lowpass_average(hamiltonian, filt)
-    cov = lowpass_average(hamiltonian @ u1, filt) - h_avg @ lowpass_average(u1, filt)
-    h_eff = h_avg + 0.5 * (cov + cov.dagger())
-    return cov, h_eff
-
-
-def decoherence_map(hamiltonian, filt: AveragingFilter, t0) -> FourierOperator:
-    """Sandwich part of the second-order generator (the decoherence terms).
-
-    These are the four terms of L_2 in which the state sits between
-    operators:  +avg(H rho U_1†) - avg(H) rho avg(U_1†)
-                -avg(U_1 rho H) + avg(U_1) rho avg(H).
-    Zero for a single-frequency harmonic drive.
-    """
-    u1 = dyson_terms(hamiltonian, t0, 1)[0]
-    u1d = u1.dagger()
-    h_avg = lowpass_average(hamiltonian, filt)
-    u1_avg = lowpass_average(u1, filt)
-    u1d_avg = lowpass_average(u1d, filt)
-    return (
-        lowpass_average(sandwich(hamiltonian, u1d), filt)
-        - sandwich(h_avg, u1d_avg)
-        - lowpass_average(sandwich(u1, hamiltonian), filt)
-        + sandwich(u1_avg, h_avg)
-    )
 
 
 def validity_ratio(hamiltonian: HarmonicHamiltonian, samples: int = 512) -> float:

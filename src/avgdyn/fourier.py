@@ -31,7 +31,6 @@ __all__ = [
     "FourierOperator",
     "AveragingFilter",
     "lowpass_average",
-    "windowed_average",
     "sandwich",
 ]
 
@@ -220,19 +219,6 @@ def lowpass_average(f: FourierOperator, filt: AveragingFilter) -> FourierOperato
     return FourierOperator(
         f.dim, [t for t in f.terms if filt.passes(t.nu)]
     )
-
-
-def windowed_average(f: FourierOperator, t, width) -> np.ndarray:
-    """Average of f over a centered rectangular window of the given width.
-
-    Diagnostic companion to :func:`lowpass_average`: the difference between
-    the two estimates the error of idealizing a finite averaging window,
-    which is O(1/(nu*width)) per rejected component at frequency nu.
-    """
-    if not width > 0:
-        raise ValueError("width must be positive")
-    g = f.antiderivative()
-    return (g.evaluate(t + width / 2) - g.evaluate(t - width / 2)) / width
 
 
 def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:

@@ -32,7 +32,6 @@ __all__ = [
     "HarmonicHamiltonian",
     "inverse_frequency_pair",
     "default_filter",
-    "first_order_dyson",
     "EffectiveGenerator",
 ]
 
@@ -84,10 +83,6 @@ class HarmonicHamiltonian:
             parts.append((h.conj().T, +w, 0))
         return FourierOperator(self.dim, parts)
 
-    def averaged(self) -> np.ndarray:
-        """H(t) after averaging out the drives: just H0."""
-        return self.h0
-
 
 def inverse_frequency_pair(ham: HarmonicHamiltonian, n: int, m: int) -> tuple[float, float]:
     """Half-sum and half-difference of 1/w_n and 1/w_m.
@@ -110,25 +105,6 @@ def default_filter(ham: HarmonicHamiltonian) -> AveragingFilter:
     if not ham.terms:
         return AveragingFilter(np.inf)
     return AveragingFilter(min(ham.frequencies()) / 2.0)
-
-
-def first_order_dyson(ham: HarmonicHamiltonian, t0) -> FourierOperator:
-    """Closed form of the first Dyson term for a harmonic Hamiltonian:
-
-        U_1(t) = (t - t0) H0 / i + V_1(t) - V_1(t0),
-        V_1(t) = sum_n (1/w_n) (h_n e^{-i w_n t} - h_n† e^{+i w_n t}).
-    """
-    t0 = float(t0)
-    secular = ham.h0 / 1j
-    terms = [(secular, 0.0, 1), (-t0 * secular, 0.0, 0)]
-    v1_t0 = np.zeros((ham.dim, ham.dim), dtype=complex)
-    for h, w in ham.terms:
-        hd = h.conj().T
-        terms.append((h / w, -w, 0))
-        terms.append((-hd / w, +w, 0))
-        v1_t0 += (h * np.exp(-1j * w * t0) - hd * np.exp(1j * w * t0)) / w
-    terms.append((-v1_t0, 0.0, 0))
-    return FourierOperator(ham.dim, terms)
 
 
 class EffectiveGenerator:

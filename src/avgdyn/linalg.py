@@ -6,7 +6,7 @@ column-stacked operators; the column-stacking convention is fixed
 package-wide so superoperator matrices are directly comparable between
 runs:
 
-    vec(L @ rho @ R) == sandwich_superop(L, R) @ vec(rho)      (exact)
+    vec(L @ rho @ R) == kron(R.T, L) @ vec(rho)      (exact)
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "commutator",
-    "anticommutator",
-    "dagger",
     "vectorize",
     "unvectorize",
-    "sandwich_superop",
     "commutator_superop",
     "anticommutator_superop",
     "DensityReport",
@@ -32,7 +28,6 @@ __all__ = [
     "gellmann_basis",
     "BLOCH_LABELS",
     "bloch_decompose",
-    "bloch_compose",
 ]
 
 
@@ -43,30 +38,6 @@ def _as_square(a, name="operator", stack=False):
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def _check_same_dim(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def dagger(a):
-    """Hermitian conjugate."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def commutator(a, b):
-    """AB - BA."""
-    a, b = _as_square(a), _as_square(b)
-    _check_same_dim(a, b)
-    return a @ b - b @ a
-
-
-def anticommutator(a, b):
-    """AB + BA."""
-    a, b = _as_square(a), _as_square(b)
-    _check_same_dim(a, b)
-    return a @ b + b @ a
 
 
 def vectorize(a):
@@ -81,13 +52,6 @@ def unvectorize(v):
     if d * d != v.size:
         raise ValueError(f"vector length {v.size} is not a perfect square")
     return v.reshape((d, d), order="F")
-
-
-def sandwich_superop(left, right):
-    """Matrix of the map rho -> left @ rho @ right on column-stacked operators."""
-    left, right = _as_square(left), _as_square(right)
-    _check_same_dim(left, right)
-    return np.kron(right.T, left)
 
 
 def commutator_superop(h):
@@ -225,15 +189,3 @@ def bloch_decompose(rho) -> np.ndarray:
         raise ValueError(f"Bloch decomposition needs a 3x3 operator, got {rho.shape}")
     elements = np.stack(gellmann_basis().elements())
     return np.einsum("...ij,kji->...k", rho, elements).real / 2.0
-
-
-def bloch_compose(coeffs) -> np.ndarray:
-    """Reassemble I/3 + sum_k r_k G_k from eight Bloch coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-    if coeffs.size != 8:
-        raise ValueError(f"expected 8 Bloch coefficients, got {coeffs.size}")
-    basis = gellmann_basis()
-    out = basis.identity / 3.0
-    for c, g in zip(coeffs, basis.elements()):
-        out = out + c * g
-    return out

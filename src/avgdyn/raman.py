@@ -31,15 +31,11 @@ from .dynamics import TimeGrid, propagate_linear
 
 __all__ = [
     "RamanParams",
-    "BlochState",
     "OverdampedError",
     "raman_coefficients",
     "bloch_matrix",
-    "bloch_rhs",
-    "corotate",
     "integrate_bloch",
     "RotatingSolution",
-    "raman_analytic",
     "purity_rate",
 ]
 
@@ -60,32 +56,6 @@ class RamanParams:
     def __post_init__(self):
         if not (self.omega1 > 0 and self.omega2 > 0):
             raise ValueError("detunings omega1, omega2 must be positive")
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """(r_x, r_y, r_z, r_w) components of the averaged state.
-
-    The spectator coherences to the third level (x_a, y_a, x_b, y_b
-    components) evolve independently and may optionally be carried along
-    unchanged.
-    """
-
-    r_x: float
-    r_y: float
-    r_z: float
-    r_w: float
-    spectator: tuple[float, float, float, float] | None = None
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r_x, self.r_y, self.r_z, self.r_w])
-
-    @classmethod
-    def from_array(cls, arr, spectator=None) -> "BlochState":
-        arr = np.asarray(arr, dtype=float).reshape(-1)
-        if arr.size != 4:
-            raise ValueError(f"expected 4 components, got {arr.size}")
-        return cls(*arr, spectator=spectator)
 
 
 def raman_coefficients(params: RamanParams) -> tuple[float, float, float, float]:
@@ -113,39 +83,6 @@ def bloch_matrix(params: RamanParams, theta) -> np.ndarray:
     return np.moveaxis(m, (0, 1), (-2, -1))
 
 
-def bloch_rhs(params: RamanParams, state, t):
-    """d r / dt at time t.  Accepts a BlochState or a length-4 array and
-    returns the same kind; spectator components never feed back."""
-    theta = (params.omega1 - params.omega2) * t
-    if isinstance(state, BlochState):
-        dr = bloch_matrix(params, theta) @ state.as_array()
-        return BlochState.from_array(dr)
-    return bloch_matrix(params, theta) @ np.asarray(state, dtype=float)
-
-
-def corotate(state, theta):
-    """Rotate the (x, y) block by theta; identity on (z, w).
-
-    corotate(corotate(r, theta), -theta) == r and the Euclidean norm is
-    preserved.  Accepts a BlochState, a length-4 array, or an (n, 4)
-    batch of rows.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    if isinstance(state, BlochState):
-        return BlochState(
-            c * state.r_x - s * state.r_y,
-            s * state.r_x + c * state.r_y,
-            state.r_z,
-            state.r_w,
-            spectator=state.spectator,
-        )
-    arr = np.asarray(state, dtype=float)
-    out = arr.copy()
-    out[..., 0] = c * arr[..., 0] - s * arr[..., 1]
-    out[..., 1] = s * arr[..., 0] + c * arr[..., 1]
-    return out
-
-
 def integrate_bloch(params: RamanParams, r0, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 integration of dr/dt = A(theta) r on the given grid.
 
@@ -154,8 +91,8 @@ def integrate_bloch(params: RamanParams, r0, grid: TimeGrid) -> tuple[np.ndarray
     analytic solution.
     """
     rate = raman_coefficients(params)[3]
-    state = r0 if isinstance(r0, BlochState) else BlochState.from_array(r0)
-    out = propagate_linear(lambda ts: bloch_matrix(params, rate * ts), state.as_array(), grid)
+    r0 = np.asarray(r0, dtype=float)
+    out = propagate_linear(lambda ts: bloch_matrix(params, rate * ts), r0, grid)
     return grid.times(), out
 
 
@@ -201,7 +138,7 @@ class RotatingSolution:
         e_omega = torque / big_omega
         e_gamma = np.array([0.0, 1.0, 0.0])
         e_p = np.cross(e_omega, e_gamma)
-        r = init.as_array() if isinstance(init, BlochState) else np.asarray(init, float)
+        r = np.asarray(init, dtype=float)
         d0, r_w0 = r[:3], float(r[3])
         d_omega = float(d0 @ e_omega)
         cos_part = float(d0 @ e_gamma)
@@ -220,12 +157,6 @@ class RotatingSolution:
         r_w = self.r_w_center - self.amplitude * (self.gamma / self.omega) * np.sin(ph)
         return d_gamma, d_p, r_w
 
-    def evaluate(self, t) -> BlochState:
-        """Rotating-frame Bloch state at a single time."""
-        d_gamma, d_p, r_w = self._components(float(t))
-        d = self.d_omega * self.e_omega + d_gamma * self.e_gamma + d_p * self.e_p
-        return BlochState(d[0], d[1], d[2], float(r_w))
-
     def sample(self, times) -> np.ndarray:
         """Rotating-frame trajectory rows (r_x, r_y, r_z, r_w) at many times."""
         d_gamma, d_p, r_w = self._components(np.asarray(times, dtype=float))
@@ -238,12 +169,6 @@ class RotatingSolution:
         """Squared length of the 3-vector part (purity up to affine constants)."""
         d_gamma, d_p, _ = self._components(t)
         return self.d_omega ** 2 + d_gamma ** 2 + d_p ** 2
-
-
-def raman_analytic(params: RamanParams, init, t) -> BlochState:
-    """Rotating-frame solution at time t for the given initial state (the
-    lab and rotating frames coincide at t = 0)."""
-    return RotatingSolution.fit(params, init).evaluate(t)
 
 
 def purity_rate(sol: RotatingSolution, t):

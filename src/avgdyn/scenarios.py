@@ -73,10 +73,16 @@ def _matrix_from_json(value, problems, key):
         m = np.array(rows, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError
-        return m
+    except OverflowError:
+        problems.append(f"{key}: integer entry too large for a float")
+        return None
     except (TypeError, ValueError, IndexError):
         problems.append(f"{key}: expected a square matrix of numbers or [re, im] pairs")
         return None
+    if not np.all(np.isfinite(m)):
+        problems.append(f"{key}: entries must be finite")
+        return None
+    return m
 
 
 def _number(data, key, problems, default=None, required=True, positive=True):
@@ -86,6 +92,9 @@ def _number(data, key, problems, default=None, required=True, positive=True):
         return default
     try:
         v = float(data[key])
+    except OverflowError:
+        problems.append(f"{key}: integer too large for a float")
+        return default
     except (TypeError, ValueError):
         problems.append(f"{key}: expected a number, got {data[key]!r}")
         return default
@@ -255,6 +264,9 @@ def load_scenario(path) -> ScenarioConfig:
         raise ScenarioError(
             [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except ValueError as exc:
+        # an integer literal longer than the interpreter's int-string limit
+        raise ScenarioError([f"JSON parse error: {exc}"]) from exc
     return scenario_from_dict(data)
 
 
@@ -310,9 +322,9 @@ def build_record(traj: Trajectory, time_scale: float = 1.0,
 
 def emit_csv(record: TrajectoryRecord, path) -> None:
     """Write a record as CSV, 17 significant digits, LF line endings."""
+    row_format = ",".join(["%.17g"] * len(record.columns))
     lines = [",".join(record.columns)]
-    for row in record.data:
-        lines.append(",".join(format(v, ".17g") for v in row))
+    lines.extend(row_format % tuple(row.tolist()) for row in record.data)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

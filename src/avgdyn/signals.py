@@ -1,10 +1,10 @@
 """Spectral helpers for trajectory comparison.
 
 The dominant-frequency estimator is a DFT peak with quadratic
-interpolation on the log magnitude; its raw resolution before
-interpolation is 2*pi/(N*dt).  The low-pass filter zeroes every bin at
-or above the cutoff, the sampled-signal analogue of the ideal averaging
-kernel applied to operator Fourier sums.
+interpolation on the log magnitude, between two non-DC neighbours only;
+its raw resolution before interpolation is 2*pi/(N*dt).  The low-pass
+filter zeroes every bin at or above the cutoff, the sampled-signal
+analogue of the ideal averaging kernel applied to operator Fourier sums.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ def dominant_frequency(values, dt) -> float:
         return 0.0
     k = int(np.argmax(mag[1:])) + 1
     delta = 0.0
-    if 1 <= k < mag.size - 1:
+    # bin 0 holds only the rounding noise of the mean subtraction, so a
+    # peak at bin 1 is not interpolated against it
+    if 2 <= k < mag.size - 1:
         lm = np.log(np.maximum(mag[k - 1:k + 2], 1e-300))
         denom = lm[0] - 2.0 * lm[1] + lm[2]
         if denom != 0.0:

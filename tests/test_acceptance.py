@@ -182,7 +182,7 @@ def test_criterion_07_raman_analytic_vs_numeric():
 def test_criterion_08_purity_oscillates_at_twice_the_frequency():
     params = a.RamanParams(0.1, 0.1, 1.0, 1.02)
     # zero-phase gauge: no DC part in the rotating-frame w component
-    sol = a.RotatingSolution.fit(params, a.BlochState(0.0, 0.25, 0.0, 0.0))
+    sol = a.RotatingSolution.fit(params, np.array([0.0, 0.25, 0.0, 0.0]))
     assert sol.r_w_center == 0.0
     n = 4096
     dt = 4 * 2 * math.pi / sol.omega / n

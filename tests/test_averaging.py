@@ -3,22 +3,17 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from avgdyn import (
-    AveragingFilter,
-    FourierOperator,
-    decoherence_map,
-    default_filter,
-    drive_covariance,
+from avgdyn.averaging import (
+    SuperoperatorSeries,
     dyson_terms,
     forward_series,
     generator_series,
     inverse_series,
-    lowpass_average,
-    unvectorize,
     validity_ratio,
-    vectorize,
 )
-from avgdyn.harmonic import HarmonicHamiltonian
+from avgdyn.fourier import AveragingFilter, FourierOperator, lowpass_average
+from avgdyn.harmonic import HarmonicHamiltonian, default_filter
+from avgdyn.linalg import commutator_superop
 from util import random_complex, random_density, random_harmonic, random_hermitian
 
 T0 = 0.3
@@ -175,7 +170,6 @@ class TestInverseSeries:
                 assert series_norm_at(acc, t) < 1e-10
 
     def test_requires_identity_order_zero(self):
-        from avgdyn import SuperoperatorSeries
         bad = SuperoperatorSeries(2, (FourierOperator.constant(2 * np.eye(4)),))
         with pytest.raises(ValueError, match="identity"):
             inverse_series(bad)
@@ -253,7 +247,6 @@ class TestGeneratorSeries:
                 assert_allclose(gen.apply(2, rho, t), want, atol=1e-10)
 
     def test_single_frequency_second_order_is_effective_shift_commutator(self):
-        from avgdyn import commutator_superop
         rng = np.random.default_rng(22)
         h = random_complex(rng, 2, 0.2)
         w = 1.4
@@ -286,70 +279,6 @@ class TestGeneratorSeries:
                 assert abs(np.trace(out)) < 1e-11
                 img = out / 1j
                 assert np.abs(img - img.conj().T).max() < 1e-11
-
-
-class TestDriveCovariance:
-    def test_constant_hamiltonian_has_no_correction(self):
-        rng = np.random.default_rng(17)
-        h0 = random_hermitian(rng, 2, 0.5)
-        cov, h_eff = drive_covariance(FourierOperator.constant(h0), AveragingFilter(1.0), T0)
-        assert cov.max_abs() < 1e-15
-        assert_allclose(h_eff.evaluate(2.2), h0, atol=1e-15)
-
-    def test_ac_stark_effective_shift(self):
-        omega_rabi, delta = 0.3, 1.0
-        h = np.zeros((2, 2), dtype=complex)
-        h[1, 0] = omega_rabi / 2
-        ham = HarmonicHamiltonian(np.zeros((2, 2)), ((h, delta),))
-        _, h_eff = drive_covariance(ham.as_fourier(), default_filter(ham), 0.0)
-        want = -(omega_rabi**2 / (4 * delta)) * np.diag([-1.0, 1.0])
-        for t in (0.0, 7.7):
-            assert_allclose(h_eff.evaluate(t), want, atol=1e-15)
-
-    def test_antihermitian_part_matches_half_difference_bracket(self):
-        rng = np.random.default_rng(18)
-        ham = random_harmonic(rng, 2, 2, strength=0.3)
-        cov, _ = drive_covariance(ham.as_fourier(), default_filter(ham), T0)
-        anti = 0.5 * (cov - cov.dagger())
-        want = FourierOperator.zero(2)
-        for n, (hn, wn) in enumerate(ham.terms):
-            for m, (hm, wm) in enumerate(ham.terms):
-                half_diff = 0.5 * (1 / wn - 1 / wm)
-                hmd = hm.conj().T
-                want = want + FourierOperator(
-                    2, [(half_diff * (hmd @ hn + hn @ hmd), wm - wn, 0)]
-                )
-        for t in (0.0, 1.3, 6.6):
-            assert_allclose(anti.evaluate(t), want.evaluate(t), atol=1e-14)
-
-
-class TestDecoherenceMap:
-    def test_zero_hamiltonian(self):
-        d2 = decoherence_map(FourierOperator.zero(2), AveragingFilter(1.0), T0)
-        assert d2.max_abs() == 0.0
-
-    def test_single_frequency_vanishes(self):
-        rng = np.random.default_rng(19)
-        ham = random_harmonic(rng, 3, 1, strength=0.3)
-        d2 = decoherence_map(ham.as_fourier(), default_filter(ham), T0)
-        for t in (0.0, 0.9, 4.1):
-            assert series_norm_at(d2, t) < 1e-13
-
-    def test_two_frequency_matches_closed_form_generator(self):
-        from avgdyn import EffectiveGenerator
-        rng = np.random.default_rng(20)
-        ham = random_harmonic(rng, 3, 2, strength=0.2, with_h0=False)
-        d2 = decoherence_map(ham.as_fourier(), default_filter(ham), T0)
-        closed = EffectiveGenerator(ham)
-        comm_part = drive_covariance(ham.as_fourier(), default_filter(ham), T0)
-        rho = random_density(rng, 3)
-        for t in (0.4, 2.6):
-            # sandwich part = full closed-form bracket minus its anticommutator part
-            anti = 0.5 * (comm_part[0].evaluate(t) - comm_part[0].evaluate(t).conj().T)
-            want = (unvectorize(closed.decoherence_superop(t) @ vectorize(rho))
-                    - (anti @ rho + rho @ anti))
-            got = unvectorize(d2.evaluate(t) @ vectorize(rho))
-            assert_allclose(got, want, atol=1e-13)
 
 
 class TestValidityRatio:

@@ -4,8 +4,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgdyn.cli import main
+from avgdyn.scenarios import KINDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -47,6 +50,33 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("keys, message", [
+        ('"kind": "custom_harmonic", "h0": [[NaN, 0], [0, 0]], "terms": [], '
+         '"initial": [[1, 0], [0, 0]]',
+         "h0: entries must be finite"),
+        ('"kind": "custom_harmonic", "h0": [[0, 0], [0, 0]], '
+         '"terms": [{"h": [[0, 0], [Infinity, 0]], "omega": 1}], '
+         '"initial": [[1, 0], [0, 0]]',
+         "terms[0].h: entries must be finite"),
+        ('"kind": "ac_stark", "b": 0.3, "initial": [[NaN, 0], [0, 0.5]]',
+         "initial: entries must be finite"),
+        ('"kind": "ac_stark", "b": 1' + "0" * 400,
+         "b: integer too large for a float"),
+        ('"kind": "custom_harmonic", "h0": [[1' + "0" * 400 + ', 0], [0, 0]], '
+         '"terms": [], "initial": [[1, 0], [0, 0]]',
+         "h0: integer entry too large for a float"),
+        ('"kind": "ac_stark", "b": 1' + "0" * 5000,
+         "JSON parse error: Exceeds the limit"),
+    ], ids=["nan_h0", "inf_term", "nan_initial", "long_int_number", "long_int_entry",
+            "over_digit_limit"])
+    def test_malformed_numbers(self, tmp_path, capsys, keys, message):
+        # NaN, Infinity and integers of any length are valid Python JSON
+        path = tmp_path / "numbers.json"
+        path.write_text('{"t_max": 20, "dt": 0.01, ' + keys + "}", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_grid_too_short_to_compare(self, tmp_path, capsys):
         path = tmp_path / "short.json"
         path.write_text(json.dumps(
@@ -58,6 +88,32 @@ class TestValidate:
             assert capsys.readouterr().err == (
                 "error: grid: 14 samples, but comparing the trajectories "
                 "needs at least 64\n")
+
+
+CONFIG_KEYS = ["kind", "t0", "t_max", "dt", "initial", "cutoff", "outputs", "b", "delta",
+               "Omega1", "Omega2", "omega1", "omega2", "h0", "terms"]
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10, max_value=100),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(KINDS),
+    st.text(max_size=8),
+)
+JSON_VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=16)
+TERMS = st.lists(st.fixed_dictionaries({"h": JSON_VALUES, "omega": JSON_VALUES}), max_size=2)
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.one_of(st.sampled_from(KINDS), JSON_VALUES),
+       keys=st.dictionaries(st.sampled_from(CONFIG_KEYS),
+                            st.one_of(JSON_VALUES, TERMS), max_size=8))
+def test_validate_any_json_object_exits_0_or_1(tmp_path_factory, kind, keys):
+    config = dict(keys, kind=kind)
+    path = tmp_path_factory.mktemp("property") / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["validate", str(path)]) in (0, 1)
 
 
 class TestRun:

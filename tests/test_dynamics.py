@@ -6,18 +6,17 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from avgdyn import (
-    EffectiveGenerator,
-    FourierOperator,
-    HarmonicHamiltonian,
-    RamanParams,
+from avgdyn.dynamics import (
+    TRACE_RENORM_TOL,
     TimeGrid,
-    bloch_rhs,
-    integrate_bloch,
+    _steps_per_chunk,
     propagate_effective,
     propagate_exact,
 )
-from avgdyn.dynamics import TRACE_RENORM_TOL, _steps_per_chunk
+from avgdyn.fourier import FourierOperator
+from avgdyn.harmonic import EffectiveGenerator, HarmonicHamiltonian
+from avgdyn.raman import RamanParams, bloch_matrix, integrate_bloch, raman_coefficients
+from avgdyn.signals import dominant_frequency
 from util import random_density, random_harmonic, random_hermitian
 
 
@@ -166,7 +165,6 @@ class TestPropagateEffective:
         assert_allclose(traj.states[-1], rho0, atol=1e-15)
 
     def test_ac_stark_coherence_frequency(self):
-        from avgdyn import dominant_frequency
         h = np.zeros((2, 2), dtype=complex)
         h[1, 0] = 0.15
         gen = EffectiveGenerator(HarmonicHamiltonian(np.zeros((2, 2)), ((h, 1.0),)))
@@ -236,8 +234,9 @@ class TestAgainstPerStepLoop:
     def test_bloch(self, n):
         params = RamanParams(0.1, 0.1, 1.0, 1.02)
         r0 = np.array([0.3, 0.2, 0.4, 0.1])
+        rate = raman_coefficients(params)[3]
         grid = grid_with_steps(n, 0.5)
-        want, _ = reference_rk4(lambda r, t: bloch_rhs(params, r, t), r0, grid,
+        want, _ = reference_rk4(lambda r, t: bloch_matrix(params, rate * t) @ r, r0, grid,
                                 renormalize=False)
         _, rows = integrate_bloch(params, r0, grid)
         assert rows.dtype == np.float64

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from avgdyn import AveragingFilter, FourierOperator, lowpass_average, sandwich, windowed_average
+from avgdyn.fourier import AveragingFilter, FourierOperator, lowpass_average, sandwich
+from avgdyn.linalg import unvectorize, vectorize
 from util import random_complex
 
 
@@ -124,22 +125,6 @@ class TestLowpass:
             AveragingFilter(0.0)
 
 
-class TestWindowedAverage:
-    def test_constant_exact(self):
-        f = single(np.diag([1.0, 2.0]), 0.0)
-        assert_allclose(windowed_average(f, 1.3, 4.0), np.diag([1.0, 2.0]), atol=1e-14)
-
-    def test_approximates_ideal_filter_on_band_limited_input(self):
-        rng = np.random.default_rng(7)
-        slow, fast = random_complex(rng, 2), random_complex(rng, 2)
-        nu_fast, width = 12.0, 25.0
-        f = single(slow, 0.0) + single(fast, nu_fast)
-        ideal = lowpass_average(f, AveragingFilter(1.0)).evaluate(2.0)
-        windowed = windowed_average(f, 2.0, width)
-        bound = 2 * np.abs(fast).max() / (nu_fast * width)
-        assert np.abs(windowed - ideal).max() <= bound + 1e-12
-
-
 class TestSandwich:
     def test_phases_add(self):
         rng = np.random.default_rng(8)
@@ -149,7 +134,6 @@ class TestSandwich:
         assert s.terms[0].nu == 0.6 and s.terms[0].p == 3
 
     def test_apply_matches_direct(self):
-        from avgdyn import unvectorize, vectorize
         rng = np.random.default_rng(9)
         left = single(random_complex(rng, 3), 0.8) + single(random_complex(rng, 3), 0.0, 1)
         right = single(random_complex(rng, 3), -1.1)

@@ -3,20 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from avgdyn import (
+from avgdyn.averaging import generator_series
+from avgdyn.dynamics import TimeGrid, propagate_effective
+from avgdyn.harmonic import (
     EffectiveGenerator,
     HarmonicHamiltonian,
-    TimeGrid,
     default_filter,
-    dyson_terms,
-    first_order_dyson,
-    generator_series,
-    gellmann_basis,
     inverse_frequency_pair,
-    propagate_effective,
-    unvectorize,
-    vectorize,
 )
+from avgdyn.linalg import gellmann_basis, unvectorize, vectorize
+from avgdyn.raman import RamanParams, bloch_matrix
 from util import random_complex, random_density, random_harmonic, random_hermitian
 
 
@@ -234,40 +230,8 @@ class TestMasterRhs:
                 assert np.linalg.norm(lhs - gen.liouvillian_matrix(t)) < 1e-10
 
 
-class TestFirstOrderDysonClosedForm:
-    def test_matches_engine(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            ham = random_harmonic(rng, 2, 2, strength=0.4)
-            t0 = float(rng.uniform(-1, 2))
-            closed = first_order_dyson(ham, t0)
-            engine = dyson_terms(ham.as_fourier(), t0, 1)[0]
-            for t in rng.uniform(-2, 6, 6):
-                assert_allclose(closed.evaluate(t), engine.evaluate(t), atol=1e-13)
-
-    def test_initial_condition(self):
-        rng = np.random.default_rng(10)
-        ham = random_harmonic(rng, 2, 2)
-        t0 = 0.8
-        assert np.linalg.norm(first_order_dyson(ham, t0).evaluate(t0)) < 1e-15
-
-    def test_pure_drive_is_difference_of_potentials(self):
-        rng = np.random.default_rng(11)
-        h = random_complex(rng, 2, 0.3)
-        w = 1.4
-        ham = HarmonicHamiltonian(np.zeros((2, 2)), ((h, w),))
-
-        def v1(t):
-            return (h * np.exp(-1j * w * t) - h.conj().T * np.exp(1j * w * t)) / w
-
-        u1 = first_order_dyson(ham, 0.5)
-        for t in (0.0, 2.2):
-            assert_allclose(u1.evaluate(t), v1(t) - v1(0.5), atol=1e-15)
-
-
 class TestRamanJacobianStructure:
     def test_bloch_blocks_decouple_and_match_coefficient_matrix(self):
-        from avgdyn import RamanParams, bloch_matrix
         params = RamanParams(0.1, 0.12, 1.0, 1.07)
         gen = EffectiveGenerator(raman(0.1, 0.12, 1.0, 1.07))
         basis = gellmann_basis()

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from avgdyn import (
-    anticommutator,
-    bloch_compose,
+from avgdyn.linalg import (
+    anticommutator_superop,
     bloch_decompose,
-    commutator,
+    commutator_superop,
     gellmann_basis,
     require_density,
-    sandwich_superop,
     unvectorize,
     validate_density,
     vectorize,
@@ -27,21 +25,22 @@ class TestCommutators:
     def test_self_commutator_vanishes(self):
         rng = np.random.default_rng(0)
         a = random_hermitian(rng, 3)
-        assert_allclose(commutator(a, a), np.zeros((3, 3)), atol=0)
+        assert_allclose(commutator_superop(a) @ vectorize(a), np.zeros(9), atol=1e-15)
 
     def test_rank_one_commutator(self):
         # [|2><1|, |1><2|] = |2><2| - |1><1|
-        got = commutator(ketbra(1, 0), ketbra(0, 1))
+        got = unvectorize(commutator_superop(ketbra(1, 0)) @ vectorize(ketbra(0, 1)))
         assert_allclose(got, ketbra(1, 1) - ketbra(0, 0), atol=0)
 
     def test_anticommutator_with_identity(self):
         rng = np.random.default_rng(1)
         b = random_hermitian(rng, 4)
-        assert_allclose(anticommutator(np.eye(4), b), 2 * b, atol=0)
+        got = unvectorize(anticommutator_superop(np.eye(4)) @ vectorize(b))
+        assert_allclose(got, 2 * b, atol=0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            commutator(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError, match="square"):
+            commutator_superop(np.ones((2, 3)))
 
 
 class TestValidateDensity:
@@ -69,15 +68,12 @@ class TestValidateDensity:
 
 
 class TestVectorization:
-    def test_identity_sandwich(self):
-        eye = np.eye(3)
-        assert_allclose(sandwich_superop(eye, eye), np.eye(9), atol=0)
-
+    # column stacking: vec(L rho R) = kron(R.T, L) vec(rho)
     def test_left_multiplication(self):
         rng = np.random.default_rng(2)
         left = random_hermitian(rng, 2)
         rho = random_density(rng, 2)
-        got = unvectorize(sandwich_superop(left, np.eye(2)) @ vectorize(rho))
+        got = unvectorize(np.kron(np.eye(2), left) @ vectorize(rho))
         assert_allclose(got, left @ rho, atol=1e-15)
 
     def test_sandwich_matches_direct_product(self):
@@ -87,7 +83,7 @@ class TestVectorization:
             left = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             right = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             rho = random_density(rng, d)
-            got = unvectorize(sandwich_superop(left, right) @ vectorize(rho))
+            got = unvectorize(np.kron(right.T, left) @ vectorize(rho))
             assert_allclose(got, left @ rho @ right, atol=1e-13)
 
     def test_round_trip(self):
@@ -137,7 +133,9 @@ class TestBloch:
         rng = np.random.default_rng(5)
         for _ in range(25):
             rho = random_density(rng, 3)
-            back = bloch_compose(bloch_decompose(rho))
+            basis = gellmann_basis()
+            back = basis.identity / 3 + sum(
+                c * g for c, g in zip(bloch_decompose(rho), basis.elements()))
             assert_allclose(back, rho, atol=1e-12)
 
     def test_wrong_dimension_rejected(self):

@@ -2,21 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from avgdyn import (
-    BlochState,
+from avgdyn.dynamics import TimeGrid
+from avgdyn.raman import (
     OverdampedError,
     RamanParams,
     RotatingSolution,
-    TimeGrid,
     bloch_matrix,
-    bloch_rhs,
-    corotate,
-    dominant_frequency,
     integrate_bloch,
     purity_rate,
-    raman_analytic,
     raman_coefficients,
 )
+from avgdyn.signals import dominant_frequency
 
 P_REF = RamanParams(0.1, 0.1, 1.0, 1.2)
 
@@ -46,12 +42,13 @@ class TestCoefficients:
 
 class TestBlochMatrix:
     def test_zero_state_has_zero_rate(self):
-        out = bloch_rhs(P_REF, np.zeros(4), 1.3)
+        rate = raman_coefficients(P_REF)[3]
+        out = bloch_matrix(P_REF, rate * 1.3) @ np.zeros(4)
         assert np.all(out == 0.0)
 
     def test_z_column_at_zero_phase(self):
-        _, beta, _, _ = raman_coefficients(P_REF)
-        out = bloch_rhs(P_REF, np.array([0.0, 0.0, 1.0, 0.0]), 0.0)
+        _, beta, _, rate = raman_coefficients(P_REF)
+        out = bloch_matrix(P_REF, rate * 0.0) @ np.array([0.0, 0.0, 1.0, 0.0])
         assert_allclose(out, [0.0, -beta, 0.0, 0.0], atol=1e-18)
 
     def test_growth_rate_pattern(self):
@@ -62,46 +59,9 @@ class TestBlochMatrix:
             r = rng.standard_normal(4)
             t = float(rng.uniform(0, 30))
             theta = rate * t
-            got = float(r @ bloch_rhs(P_REF, r, t))
+            got = float(r @ (bloch_matrix(P_REF, theta) @ r))
             want = -2 * gamma * r[3] * (r[0] * np.sin(theta) + r[1] * np.cos(theta))
             assert_allclose(got, want, atol=1e-15)
-
-    def test_blochstate_round_trip(self):
-        state = BlochState(0.1, -0.2, 0.3, 0.05)
-        out = bloch_rhs(P_REF, state, 2.0)
-        assert isinstance(out, BlochState)
-        assert_allclose(out.as_array(),
-                        bloch_matrix(P_REF, raman_coefficients(P_REF)[3] * 2.0)
-                        @ state.as_array(), atol=1e-18)
-
-
-class TestCorotate:
-    def test_zero_angle_is_identity(self):
-        r = np.array([0.3, -0.1, 0.7, 0.2])
-        assert_allclose(corotate(r, 0.0), r, atol=0)
-
-    def test_quarter_turn(self):
-        out = corotate(np.array([1.0, 0.0, 0.4, 0.5]), np.pi / 2)
-        assert_allclose(out, [0.0, 1.0, 0.4, 0.5], atol=1e-16)
-
-    def test_inverse(self):
-        rng = np.random.default_rng(1)
-        r = rng.standard_normal(4)
-        assert_allclose(corotate(corotate(r, 1.234), -1.234), r, atol=1e-15)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            r = rng.standard_normal(4)
-            theta = float(rng.uniform(-10, 10))
-            assert abs(np.linalg.norm(corotate(r, theta)) - np.linalg.norm(r)) < 1e-13
-
-    def test_batch_rows(self):
-        rng = np.random.default_rng(3)
-        rows = rng.standard_normal((5, 4))
-        out = corotate(rows, 0.7)
-        for row, want in zip(rows, out):
-            assert_allclose(corotate(row, 0.7), want, atol=0)
 
 
 class TestRotatingSolution:
@@ -117,13 +77,13 @@ class TestRotatingSolution:
 
     def test_fit_frequency_formula(self):
         alpha, beta, gamma, rate = raman_coefficients(P_REF)
-        sol = RotatingSolution.fit(P_REF, BlochState(0.2, 0.1, -0.3, 0.05))
+        sol = RotatingSolution.fit(P_REF, np.array([0.2, 0.1, -0.3, 0.05]))
         assert_allclose(sol.omega**2,
                         (alpha + rate)**2 + beta**2 - gamma**2, rtol=1e-12)
 
     def test_gamma_zero_is_circular_precession(self):
         params = RamanParams(0.1, 0.1, 1.3, 1.3)  # equal detunings: gamma = 0
-        sol = RotatingSolution.fit(params, BlochState(0.2, 0.1, -0.3, 0.05))
+        sol = RotatingSolution.fit(params, np.array([0.2, 0.1, -0.3, 0.05]))
         assert sol.gamma == 0.0 and sol.omega == sol.big_omega
         ts = np.linspace(0, 200, 400)
         rows = sol.sample(ts)
@@ -140,14 +100,12 @@ class TestRotatingSolution:
         # d(d)/dt = Omega x d - r_w gvec, d(r_w)/dt = -gvec . d
         params = RamanParams(0.1, 0.1, 1.0, 1.02)
         _, _, gamma, _ = raman_coefficients(params)
-        sol = RotatingSolution.fit(params, BlochState(0.3, 0.2, 0.4, 0.1))
+        sol = RotatingSolution.fit(params, np.array([0.3, 0.2, 0.4, 0.1]))
         torque = sol.big_omega * sol.e_omega
         gvec = gamma * np.array([0.0, 1.0, 0.0])
         h = 1e-4
         for t in (0.0, 37.0, 151.0):
-            rm = sol.evaluate(t - h).as_array()
-            r0 = sol.evaluate(t).as_array()
-            rp = sol.evaluate(t + h).as_array()
+            rm, r0, rp = sol.sample([t - h, t, t + h])
             deriv = (rp - rm) / (2 * h)
             want_d = np.cross(torque, r0[:3]) - r0[3] * gvec
             want_w = -gvec @ r0[:3]
@@ -160,16 +118,16 @@ class TestRotatingSolution:
         # alpha + (w1 - w2) = -5e-5, beta = 0.012, gamma = sqrt(3)*0.008
         params = RamanParams(0.4, 0.01, 0.1, 0.5)
         with pytest.raises(OverdampedError):
-            RotatingSolution.fit(params, BlochState(0.1, 0.0, 0.0, 0.0))
+            RotatingSolution.fit(params, np.array([0.1, 0.0, 0.0, 0.0]))
 
     def test_zero_phase_gauge_matches_initial_conditions(self):
         params = RamanParams(0.1, 0.1, 1.0, 1.02)
         _, _, gamma, _ = raman_coefficients(params)
-        sol0 = RotatingSolution.fit(params, BlochState(0.0, 0.25, 0.0, 0.0))
+        sol0 = RotatingSolution.fit(params, np.array([0.0, 0.25, 0.0, 0.0]))
         assert abs(sol0.phase) < 1e-12
         assert sol0.r_w_center == 0.0
-        first = sol0.evaluate(0.0)
-        assert_allclose(first.as_array(), [0.0, 0.25, 0.0, 0.0], atol=1e-15)
+        first = sol0.sample([0.0])[0]
+        assert_allclose(first, [0.0, 0.25, 0.0, 0.0], atol=1e-15)
 
 
 class TestNumericAgainstAnalytic:
@@ -181,16 +139,12 @@ class TestNumericAgainstAnalytic:
         period = 2 * np.pi / sol.omega
         grid = TimeGrid(0.0, period, period / 20000)
         ts, rows = integrate_bloch(params, r0, grid)
-        rotated = corotate(rows, 0.0).copy()
-        for k, t in enumerate(ts):
-            rotated[k] = corotate(rows[k], rate * t)
+        cos_t, sin_t = np.cos(rate * ts), np.sin(rate * ts)
+        rotated = rows.copy()
+        rotated[:, 0] = cos_t * rows[:, 0] - sin_t * rows[:, 1]
+        rotated[:, 1] = sin_t * rows[:, 0] + cos_t * rows[:, 1]
         want = sol.sample(ts)
         assert np.abs(rotated - want).max() < 1e-9
-
-    def test_blochstate_input(self):
-        grid = TimeGrid(0.0, 5.0, 0.01)
-        _, rows = integrate_bloch(P_REF, BlochState(0.1, 0.0, 0.2, 0.0), grid)
-        assert rows.shape == (grid.n_steps + 1, 4)
 
     def test_overdamped_regime_still_integrates(self):
         params = RamanParams(0.4, 0.01, 0.1, 0.5)
@@ -202,13 +156,13 @@ class TestNumericAgainstAnalytic:
 class TestPurityRate:
     def test_gamma_zero_conserves_length(self):
         params = RamanParams(0.1, 0.1, 1.3, 1.3)
-        sol = RotatingSolution.fit(params, BlochState(0.2, 0.1, -0.3, 0.05))
+        sol = RotatingSolution.fit(params, np.array([0.2, 0.1, -0.3, 0.05]))
         for t in np.linspace(0, 300, 40):
             assert purity_rate(sol, t) == 0.0
 
     def test_matches_central_difference(self):
         params = RamanParams(0.1, 0.1, 1.0, 1.02)
-        sol = RotatingSolution.fit(params, BlochState(0.3, 0.2, 0.4, 0.1))
+        sol = RotatingSolution.fit(params, np.array([0.3, 0.2, 0.4, 0.1]))
         h = 1e-4
         for t in (0.0, 12.0, 93.0, 407.0):
             fd = (sol.bloch_length_sq(t + h) - sol.bloch_length_sq(t - h)) / (2 * h)
@@ -218,7 +172,7 @@ class TestPurityRate:
         params = RamanParams(0.1, 0.1, 1.0, 1.02)
         _, _, gamma, _ = raman_coefficients(params)
         assert gamma != 0.0
-        sol = RotatingSolution.fit(params, BlochState(0.0, 0.25, 0.0, 0.0))
+        sol = RotatingSolution.fit(params, np.array([0.0, 0.25, 0.0, 0.0]))
         n = 4096
         period = 2 * np.pi / sol.omega
         dt = 4 * period / n
@@ -228,8 +182,3 @@ class TestPurityRate:
         freq = dominant_frequency(lsq, dt)
         assert abs(freq - 2 * sol.omega) < 2 * np.pi / (n * dt)
 
-
-class TestRamanAnalytic:
-    def test_initial_condition_recovered(self):
-        out = raman_analytic(P_REF, BlochState(0.3, 0.2, 0.4, 0.1), 0.0)
-        assert_allclose(out.as_array(), [0.3, 0.2, 0.4, 0.1], atol=1e-14)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from avgdyn import (
-    BLOCH_LABELS,
+from avgdyn.dynamics import TimeGrid, propagate_effective, propagate_exact
+from avgdyn.fourier import FourierOperator
+from avgdyn.harmonic import EffectiveGenerator
+from avgdyn.linalg import BLOCH_LABELS, bloch_decompose
+from avgdyn.scenarios import (
     ScenarioError,
     TrajectoryRecord,
     build_record,
@@ -118,7 +121,6 @@ class TestRunScenario:
             "kind": "raman", "Omega1": 0.1, "Omega2": 0.1,
             "omega1": 1.0, "omega2": 1.0, "t_max": 100, "dt": 0.02,
         })
-        from avgdyn import EffectiveGenerator
         gen = EffectiveGenerator(cfg.hamiltonian)
         assert np.linalg.norm(gen.decoherence_superop(3.0)) == 0.0
         result = run_scenario(cfg)
@@ -161,7 +163,6 @@ class TestRunScenario:
             assert label in result.effective.columns
 
     def test_bloch_columns_match_per_row_decomposition(self):
-        from avgdyn import EffectiveGenerator, bloch_decompose, propagate_effective
         cfg = scenario_from_dict({
             "kind": "raman", "Omega1": 0.1, "Omega2": 0.1,
             "omega1": 1.0, "omega2": 1.05, "t_max": 20, "dt": 0.05,
@@ -187,6 +188,15 @@ class TestCsv:
         back = read_csv(path)
         assert back.columns == record.columns
         assert np.array_equal(back.data, record.data)
+
+    def test_special_values_match_per_value_format(self, tmp_path):
+        values = [-0.0, 5e-324, 1e-300, 1.2e17, -1.7976931348623157e308,
+                  0.1, 1 / 3, -2.5e-310, 1e22, 123456789012345678.0]
+        record = TrajectoryRecord(("t", "x"), np.column_stack([values, values[::-1]]))
+        path = tmp_path / "out.csv"
+        emit_csv(record, path)
+        want = ["t,x"] + [",".join(format(v, ".17g") for v in row) for row in record.data]
+        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
     def test_lf_line_endings_and_header(self, tmp_path):
         record = TrajectoryRecord(("t", "x"), np.array([[0.0, 1.0]]))
@@ -246,14 +256,12 @@ class TestCompare:
 
 class TestBuildRecord:
     def test_time_scale_applied(self):
-        from avgdyn import FourierOperator, TimeGrid, propagate_exact
         rho0 = np.eye(2, dtype=complex) / 2
         traj = propagate_exact(FourierOperator.zero(2), rho0, TimeGrid(0, 1, 0.25))
         record = build_record(traj, time_scale=2.0)
         assert_allclose(record.times, [0.0, 0.5, 1.0, 1.5, 2.0], atol=0)
 
     def test_output_selection(self):
-        from avgdyn import FourierOperator, TimeGrid, propagate_exact
         rho0 = np.eye(2, dtype=complex) / 2
         traj = propagate_exact(FourierOperator.zero(2), rho0, TimeGrid(0, 1, 0.5))
         record = build_record(traj, outputs=("purity",))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from avgdyn import dft_resolution, dominant_frequency, lowpass_series
+from avgdyn.signals import dft_resolution, dominant_frequency, lowpass_series
 
 
 class TestDominantFrequency:
@@ -31,6 +31,18 @@ class TestDominantFrequency:
         freq = 1.2345  # deliberately off-bin
         got = dominant_frequency(np.cos(freq * t + 0.3), dt)
         assert abs(got - freq) < dft_resolution(n, dt)
+
+    def test_peak_at_bin_one_ignores_rounding_noise(self):
+        # 1.4 periods in the window put the peak at bin 1, next to the DC
+        # bin that the mean subtraction leaves at rounding noise
+        dt, n = 0.01, 20001
+        t = dt * np.arange(n)
+        x = 0.5 * np.cos(2 * np.pi * 1.4 / (n * dt) * t) + 0.3
+        want = dominant_frequency(x, dt)
+        assert want == dft_resolution(n, dt)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            assert dominant_frequency(x + 1e-15 * rng.standard_normal(n), dt) == want
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="samples"):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from avgdyn import HarmonicHamiltonian
+from avgdyn.harmonic import HarmonicHamiltonian
 
 
 def random_hermitian(rng, d, scale=1.0):
