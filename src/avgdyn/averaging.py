@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import AveragingFilter, FourierOperator, lowpass_average, sandwich
+from .fourier import FourierOperator, lowpass_average, sandwich
 from .harmonic import HarmonicHamiltonian
 from .linalg import unvectorize, vectorize
 
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 3
+# Samples of H(t) over one period of the slowest drive in validity_ratio
+VALIDITY_SAMPLES = 512
 
 
 def _check_order(order):
@@ -81,12 +83,12 @@ class SuperoperatorSeries:
         return unvectorize(self.maps[k].evaluate(t) @ vectorize(rho))
 
 
-def forward_series(hamiltonian, filt: AveragingFilter, t0, order) -> SuperoperatorSeries:
+def forward_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeries:
     """Maps sending the initial state to the averaged state, order by order.
 
-    Order k is sum_{j=0..k} avg(U_{k-j} rho U_j†), with the filter applied
-    to the full Fourier expansion of each sandwich.  Order 0 is the
-    identity map.
+    Order k is sum_{j=0..k} avg(U_{k-j} rho U_j†), with the ideal low-pass
+    at ``cutoff`` applied to the full Fourier expansion of each sandwich.
+    Order 0 is the identity map.
     """
     us = [FourierOperator.identity(hamiltonian.dim)]
     us.extend(dyson_terms(hamiltonian, t0, order))
@@ -95,7 +97,7 @@ def forward_series(hamiltonian, filt: AveragingFilter, t0, order) -> Superoperat
     for k in range(order + 1):
         acc = FourierOperator.zero(hamiltonian.dim ** 2)
         for j in range(k + 1):
-            acc = acc + lowpass_average(sandwich(us[k - j], uds[j]), filt)
+            acc = acc + lowpass_average(sandwich(us[k - j], uds[j]), cutoff)
         maps.append(acc)
     return SuperoperatorSeries(hamiltonian.dim, tuple(maps))
 
@@ -116,14 +118,14 @@ def inverse_series(forward: SuperoperatorSeries) -> SuperoperatorSeries:
     return SuperoperatorSeries(forward.dim, tuple(maps))
 
 
-def generator_series(hamiltonian, filt: AveragingFilter, t0, order) -> SuperoperatorSeries:
+def generator_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeries:
     """Generators L_k of i d(rho_avg)/dt = sum_k L_k[rho_avg].
 
     L_k = sum_j i * (d/dt forward_{k-j}) o inverse_j, with the time
     derivative taken analytically on the Fourier terms.  L_0 = 0 and
     L_1[rho] = [H_avg, rho].
     """
-    fwd = forward_series(hamiltonian, filt, t0, order)
+    fwd = forward_series(hamiltonian, cutoff, t0, order)
     inv = inverse_series(fwd)
     rates = [m.differentiate() for m in fwd.maps]
     maps = []
@@ -135,7 +137,7 @@ def generator_series(hamiltonian, filt: AveragingFilter, t0, order) -> Superoper
     return SuperoperatorSeries(hamiltonian.dim, tuple(maps))
 
 
-def validity_ratio(hamiltonian: HarmonicHamiltonian, samples: int = 512) -> float:
+def validity_ratio(hamiltonian: HarmonicHamiltonian) -> float:
     """Largest instantaneous spectral radius of H(t) over the smallest drive
     frequency.  Much less than 1 means truncating the generator series at
     second order is safe; 0 by convention when there is no drive.
@@ -143,7 +145,7 @@ def validity_ratio(hamiltonian: HarmonicHamiltonian, samples: int = 512) -> floa
     if not hamiltonian.terms:
         return 0.0
     w_min = min(w for _, w in hamiltonian.terms)
-    ts = np.linspace(0.0, 2 * np.pi / w_min, samples, endpoint=False)
+    ts = np.linspace(0.0, 2 * np.pi / w_min, VALIDITY_SAMPLES, endpoint=False)
     h = hamiltonian.as_fourier().evaluate(ts)
     h = (h + h.conj().transpose(0, 2, 1)) / 2.0
     return float(np.abs(np.linalg.eigvalsh(h)).max()) / w_min

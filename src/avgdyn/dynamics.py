@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fourier import FourierOperator
 from .harmonic import EffectiveGenerator
-from .linalg import commutator_superop, require_density, vectorize
+from .linalg import POSITIVITY_TOL, commutator_superop, require_density, vectorize
 
 __all__ = ["TimeGrid", "Trajectory", "propagate_linear", "propagate_exact",
            "propagate_effective"]
@@ -25,6 +26,8 @@ logger = logging.getLogger(__name__)
 
 MAX_STEPS = 10_000_000
 TRACE_RENORM_TOL = 1e-12
+# Largest anti-Hermitian entry of H(t) accepted by propagate_exact
+HAMILTONIAN_HERM_TOL = 1e-10
 # Bytes per chunk stack of generator or increment matrices: bounds the
 # memory of a propagation independently of its length.
 CHUNK_BYTES = 256 * 1024
@@ -69,9 +72,12 @@ class Trajectory:
     def entry(self, i, j) -> np.ndarray:
         return self.states[:, i, j]
 
+    # computed once: a run reads each diagnostic for its CSV and its report
+    @cached_property
     def purity(self) -> np.ndarray:
         return np.einsum("tij,tji->t", self.states, self.states).real
 
+    @cached_property
     def min_eigenvalues(self) -> np.ndarray:
         sym = (self.states + self.states.conj().transpose(0, 2, 1)) / 2.0
         return np.linalg.eigvalsh(sym)[:, 0]
@@ -153,13 +159,12 @@ def _propagate_density(generators, rho0, grid: TimeGrid) -> Trajectory:
     return Trajectory(grid.times(), states)
 
 
-def propagate_exact(hamiltonian: FourierOperator, rho0, grid: TimeGrid,
-                    herm_tol: float = 1e-10) -> Trajectory:
+def propagate_exact(hamiltonian: FourierOperator, rho0, grid: TimeGrid) -> Trajectory:
     """Integrate i d(rho)/dt = [H(t), rho] with fixed-step RK4.
 
-    H(t) is checked for Hermiticity at every time the integrator evaluates
-    it (grid and half-step times); the trace is renormalized (and logged)
-    only if it drifts beyond 1e-12.
+    H(t) is checked for Hermiticity within HAMILTONIAN_HERM_TOL at every
+    time the integrator evaluates it (grid and half-step times); the trace
+    is renormalized (and logged) only if it drifts beyond 1e-12.
     """
     rho = require_density(rho0)
     d = rho.shape[0]
@@ -168,7 +173,8 @@ def propagate_exact(hamiltonian: FourierOperator, rho0, grid: TimeGrid,
 
     def generators(times):
         h = hamiltonian.evaluate(times)
-        bad = np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > herm_tol
+        bad = (np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+               > HAMILTONIAN_HERM_TOL)
         if bad.any():
             raise ValueError(f"Hamiltonian is not Hermitian at t={times[bad.argmax()]:.6g}")
         return -1j * commutator_superop(h)
@@ -176,20 +182,19 @@ def propagate_exact(hamiltonian: FourierOperator, rho0, grid: TimeGrid,
     return _propagate_density(generators, rho, grid)
 
 
-def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid,
-                        positivity_tol: float = 1e-9) -> Trajectory:
+def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid) -> Trajectory:
     """Integrate the averaged master equation with fixed-step RK4.
 
     The averaged equation is not guaranteed completely positive, so the
     minimum eigenvalue is monitored along the trajectory and excursions
-    below -positivity_tol are logged as warnings, never clamped.
+    below -POSITIVITY_TOL are logged as warnings, never clamped.
     """
     rho = require_density(rho0)
     d = rho.shape[0]
     if generator.dim != d:
         raise ValueError(f"generator dim {generator.dim} != state dim {d}")
     traj = _propagate_density(generator.liouvillian_matrix, rho, grid)
-    min_eig = traj.min_eigenvalues().min()
-    if min_eig < -positivity_tol:
+    min_eig = traj.min_eigenvalues.min()
+    if min_eig < -POSITIVITY_TOL:
         logger.warning("averaged evolution dipped to min eigenvalue %.3e", min_eig)
     return traj

@@ -20,7 +20,6 @@ superoperator sum of the map rho -> L(t) rho R(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "FREQUENCY_MERGE_TOL",
     "FourierTerm",
     "FourierOperator",
-    "AveragingFilter",
     "lowpass_average",
     "sandwich",
 ]
@@ -46,7 +44,7 @@ class FourierTerm(NamedTuple):
     p: int
 
 
-def _merge(dim, terms, tol=FREQUENCY_MERGE_TOL):
+def _merge(dim, terms):
     by_p: dict[int, list[tuple[float, np.ndarray]]] = {}
     for coeff, nu, p in terms:
         c = np.asarray(coeff, dtype=complex)
@@ -56,7 +54,7 @@ def _merge(dim, terms, tol=FREQUENCY_MERGE_TOL):
         if p < 0:
             raise ValueError("polynomial degree must be non-negative")
         nu = float(nu)
-        if abs(nu) <= tol:
+        if abs(nu) <= FREQUENCY_MERGE_TOL:
             nu = 0.0
         by_p.setdefault(p, []).append((nu, c))
     out = []
@@ -67,7 +65,7 @@ def _merge(dim, terms, tol=FREQUENCY_MERGE_TOL):
             nu0 = entries[i][0]
             acc = entries[i][1].copy()
             j = i + 1
-            while j < len(entries) and entries[j][0] - nu0 <= tol:
+            while j < len(entries) and entries[j][0] - nu0 <= FREQUENCY_MERGE_TOL:
                 acc += entries[j][1]
                 j += 1
             if np.any(acc != 0):
@@ -196,29 +194,15 @@ class FourierOperator:
         return f"FourierOperator(dim={self.dim}, terms=[{ts}])"
 
 
-@dataclass(frozen=True)
-class AveragingFilter:
-    """Ideal low-pass averaging kernel, parameterized by its cutoff (rad/time).
+def lowpass_average(f: FourierOperator, cutoff: float) -> FourierOperator:
+    """Ideal low-pass average: delete terms with |nu| >= cutoff, keep the rest.
 
-    ``math.inf`` gives a transparent filter (every component passes), which
-    is what any unit-area kernel does to a constant.
+    ``math.inf`` is transparent (every component passes), which is what any
+    unit-area kernel does to a constant.
     """
-
-    cutoff: float
-
-    def __post_init__(self):
-        if not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
-
-    def passes(self, nu) -> bool:
-        return abs(nu) < self.cutoff
-
-
-def lowpass_average(f: FourierOperator, filt: AveragingFilter) -> FourierOperator:
-    """Ideal low-pass average: delete terms with |nu| >= cutoff, keep the rest."""
-    return FourierOperator(
-        f.dim, [t for t in f.terms if filt.passes(t.nu)]
-    )
+    if not cutoff > 0:
+        raise ValueError("cutoff must be positive")
+    return FourierOperator(f.dim, [t for t in f.terms if abs(t.nu) < cutoff])
 
 
 def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:

@@ -24,22 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import AveragingFilter, FourierOperator
+from .fourier import FREQUENCY_MERGE_TOL, FourierOperator
 from .linalg import anticommutator_superop, commutator_superop, unvectorize, vectorize
 
 __all__ = [
-    "FREQUENCY_MATCH_TOL",
     "HarmonicHamiltonian",
     "inverse_frequency_pair",
     "default_filter",
     "EffectiveGenerator",
 ]
-
-# Drive frequencies closer than this are treated as the same index: their
-# half-difference inverse frequency is exactly zero and their beat phase is
-# snapped to zero, so representation noise cannot fabricate decoherence.
-FREQUENCY_MATCH_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class HarmonicHamiltonian:
@@ -52,6 +45,8 @@ class HarmonicHamiltonian:
         h0 = np.asarray(self.h0, dtype=complex)
         if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
             raise ValueError(f"h0 must be square, got shape {h0.shape}")
+        if not np.all(np.isfinite(h0)):
+            raise ValueError("h0 entries must be finite")
         if np.abs(h0 - h0.conj().T).max() > 1e-12:
             raise ValueError("h0 must be Hermitian within 1e-12")
         terms = []
@@ -61,6 +56,8 @@ class HarmonicHamiltonian:
                 raise ValueError(
                     f"drive operator {k} has shape {h.shape}, expected {h0.shape}"
                 )
+            if not np.all(np.isfinite(h)):
+                raise ValueError(f"drive operator {k} entries must be finite")
             w = float(w)
             if not w > 0:
                 raise ValueError(f"drive frequency {k} must be positive, got {w}")
@@ -88,23 +85,24 @@ def inverse_frequency_pair(ham: HarmonicHamiltonian, n: int, m: int) -> tuple[fl
     """Half-sum and half-difference of 1/w_n and 1/w_m.
 
     The half-difference is exactly 0.0 when the two frequencies agree
-    within FREQUENCY_MATCH_TOL (in particular for n == m).
+    within FREQUENCY_MERGE_TOL (in particular for n == m), so representation
+    noise cannot fabricate decoherence.
     """
     _, wn = ham.terms[n]
     _, wm = ham.terms[m]
     half_sum = 0.5 * (1.0 / wn + 1.0 / wm)
-    if abs(wn - wm) <= FREQUENCY_MATCH_TOL:
+    if abs(wn - wm) <= FREQUENCY_MERGE_TOL:
         return half_sum, 0.0
     return half_sum, 0.5 * (1.0 / wn - 1.0 / wm)
 
 
-def default_filter(ham: HarmonicHamiltonian) -> AveragingFilter:
-    """Cutoff at half the smallest drive frequency: rejects every ±w_n and
-    ±(w_n + w_m), passes the differences w_n - w_m when the drives are
-    close.  Transparent when there is no drive."""
+def default_filter(ham: HarmonicHamiltonian) -> float:
+    """Averaging cutoff at half the smallest drive frequency: rejects every
+    ±w_n and ±(w_n + w_m), passes the differences w_n - w_m when the drives
+    are close.  Infinite (transparent) when there is no drive."""
     if not ham.terms:
-        return AveragingFilter(np.inf)
-    return AveragingFilter(min(ham.frequencies()) / 2.0)
+        return np.inf
+    return min(ham.frequencies()) / 2.0
 
 
 class EffectiveGenerator:
@@ -123,9 +121,9 @@ class EffectiveGenerator:
         for n, (hn, wn) in enumerate(hamiltonian.terms):
             for m, (hm, wm) in enumerate(hamiltonian.terms):
                 half_sum, half_diff = inverse_frequency_pair(hamiltonian, n, m)
-                beat = 0.0 if abs(wn - wm) <= FREQUENCY_MATCH_TOL else wm - wn
                 hmd = hm.conj().T
-                eff_terms.append((half_sum * (hmd @ hn - hn @ hmd), beat, 0))
+                # FourierOperator snaps a beat within FREQUENCY_MERGE_TOL to 0
+                eff_terms.append((half_sum * (hmd @ hn - hn @ hmd), wm - wn, 0))
                 if half_diff != 0.0:
                     block = (
                         anticommutator_superop(hmd @ hn)
@@ -133,7 +131,7 @@ class EffectiveGenerator:
                         - 2.0 * np.kron(hm.conj(), hn)
                         - 2.0 * np.kron(hn.T, hmd)
                     )
-                    deco_terms.append((half_diff * block, beat, 0))
+                    deco_terms.append((half_diff * block, wm - wn, 0))
         self._h_eff = FourierOperator(d, eff_terms)
         self._deco = FourierOperator(d * d, deco_terms)
 

@@ -11,7 +11,6 @@ runs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,10 +20,8 @@ __all__ = [
     "unvectorize",
     "commutator_superop",
     "anticommutator_superop",
-    "DensityReport",
     "validate_density",
     "require_density",
-    "GellMannBasis",
     "gellmann_basis",
     "BLOCH_LABELS",
     "bloch_decompose",
@@ -68,45 +65,15 @@ def anticommutator_superop(c):
     return np.kron(eye, c) + np.kron(c.T, eye)
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Measured violations of the density-matrix properties of one operator."""
-
-    hermiticity_violation: float
-    trace_violation: float
-    min_eigenvalue: float
-    tol_herm: float
-    tol_pos: float
-
-    @property
-    def hermitian(self) -> bool:
-        return self.hermiticity_violation <= self.tol_herm
-
-    @property
-    def unit_trace(self) -> bool:
-        return self.trace_violation <= self.tol_herm
-
-    @property
-    def positive(self) -> bool:
-        return self.min_eigenvalue >= -self.tol_pos
-
-    @property
-    def ok(self) -> bool:
-        return self.hermitian and self.unit_trace and self.positive
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.hermitian:
-            out.append(f"hermiticity violated by {self.hermiticity_violation:.3e}")
-        if not self.unit_trace:
-            out.append(f"trace deviates from 1 by {self.trace_violation:.3e}")
-        if not self.positive:
-            out.append(f"minimum eigenvalue {self.min_eigenvalue:.3e}")
-        return out
+# Tolerances of a density matrix: Hermiticity and unit trace, and how far
+# below zero its smallest eigenvalue may lie
+DENSITY_TOL = 1e-12
+POSITIVITY_TOL = 1e-9
 
 
-def validate_density(m, tol_herm=1e-12, tol_pos=1e-9) -> DensityReport:
-    """Report hermiticity / unit-trace / positivity of ``m`` (never raises).
+def validate_density(m) -> list[str]:
+    """Violations of hermiticity / unit trace / positivity of ``m``, one
+    message each; empty when ``m`` is a density matrix.
 
     Positivity is measured on the Hermitian part ``(m + m†)/2``.
     """
@@ -115,15 +82,22 @@ def validate_density(m, tol_herm=1e-12, tol_pos=1e-9) -> DensityReport:
     trace = float(abs(m.trace() - 1.0))
     sym = (m + m.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return DensityReport(herm, trace, min_eig, tol_herm, tol_pos)
+    out = []
+    if herm > DENSITY_TOL:
+        out.append(f"hermiticity violated by {herm:.3e}")
+    if trace > DENSITY_TOL:
+        out.append(f"trace deviates from 1 by {trace:.3e}")
+    if min_eig < -POSITIVITY_TOL:
+        out.append(f"minimum eigenvalue {min_eig:.3e}")
+    return out
 
 
-def require_density(m, tol_herm=1e-12, tol_pos=1e-9):
+def require_density(m):
     """Return ``m`` as a complex array, raising if it is not a density matrix."""
     m = _as_square(m, "density matrix")
-    report = validate_density(m, tol_herm, tol_pos)
-    if not report.ok:
-        raise ValueError("not a density matrix: " + "; ".join(report.failures()))
+    failures = validate_density(m)
+    if failures:
+        raise ValueError("not a density matrix: " + "; ".join(failures))
     return m
 
 
@@ -136,33 +110,15 @@ def _ketbra(i, j):
 BLOCH_LABELS = ("x", "y", "z", "w", "xa", "ya", "xb", "yb")
 
 
-@dataclass(frozen=True)
-class GellMannBasis:
-    """The SU(3) basis used for three-level Bloch decompositions.
+@lru_cache(maxsize=1)
+def gellmann_basis() -> np.ndarray:
+    """The eight traceless SU(3) elements used for three-level Bloch
+    decompositions, as a read-only (8, 3, 3) stack in BLOCH_LABELS order.
 
     ``x, y, z`` are the Pauli operators on the {1,2} subspace, ``w`` the
     traceless diagonal element, and the ``a``/``b`` elements couple levels
-    1-3 and 2-3.  All non-identity elements are Hermitian, traceless and
-    satisfy tr(G_i G_j) = 2 delta_ij.
+    1-3 and 2-3.  All are Hermitian and satisfy tr(G_i G_j) = 2 delta_ij.
     """
-
-    identity: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-    xa: np.ndarray
-    ya: np.ndarray
-    xb: np.ndarray
-    yb: np.ndarray
-
-    def elements(self) -> tuple[np.ndarray, ...]:
-        """The eight traceless elements, in Bloch-coefficient order."""
-        return (self.x, self.y, self.z, self.w, self.xa, self.ya, self.xb, self.yb)
-
-
-@lru_cache(maxsize=1)
-def gellmann_basis() -> GellMannBasis:
     x = _ketbra(0, 1) + _ketbra(1, 0)
     y = -1j * (_ketbra(0, 1) - _ketbra(1, 0))
     z = _ketbra(0, 0) - _ketbra(1, 1)
@@ -171,10 +127,9 @@ def gellmann_basis() -> GellMannBasis:
     ya = -1j * (_ketbra(0, 2) - _ketbra(2, 0))
     xb = _ketbra(1, 2) + _ketbra(2, 1)
     yb = -1j * (_ketbra(1, 2) - _ketbra(2, 1))
-    mats = [np.eye(3, dtype=complex), x, y, z, w, xa, ya, xb, yb]
-    for m in mats:
-        m.flags.writeable = False
-    return GellMannBasis(*mats)
+    basis = np.stack([x, y, z, w, xa, ya, xb, yb])
+    basis.flags.writeable = False
+    return basis
 
 
 def bloch_decompose(rho) -> np.ndarray:
@@ -187,5 +142,4 @@ def bloch_decompose(rho) -> np.ndarray:
     rho = _as_square(rho, stack=True)
     if rho.shape[-2:] != (3, 3):
         raise ValueError(f"Bloch decomposition needs a 3x3 operator, got {rho.shape}")
-    elements = np.stack(gellmann_basis().elements())
-    return np.einsum("...ij,kji->...k", rho, elements).real / 2.0
+    return np.einsum("...ij,kji->...k", rho, gellmann_basis()).real / 2.0

@@ -20,7 +20,6 @@ import numpy as np
 
 from .averaging import validity_ratio
 from .dynamics import TimeGrid, Trajectory, propagate_effective, propagate_exact
-from .fourier import AveragingFilter
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
 from .linalg import BLOCH_LABELS, bloch_decompose, validate_density
 from .signals import MIN_SAMPLES, dominant_frequency, lowpass_series
@@ -58,17 +57,24 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _matrix_from_json(value, problems, key):
     try:
         rows = []
         for row in value:
             out_row = []
             for entry in row:
-                if isinstance(entry, (list, tuple)):
-                    re_part, im_part = entry
-                    out_row.append(complex(re_part, im_part))
-                else:
+                if _is_number(entry):
                     out_row.append(complex(entry))
+                elif (isinstance(entry, list) and len(entry) == 2
+                      and all(_is_number(part) for part in entry)):
+                    out_row.append(complex(*entry))
+                else:
+                    raise TypeError
             rows.append(out_row)
         m = np.array(rows, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -76,7 +82,7 @@ def _matrix_from_json(value, problems, key):
     except OverflowError:
         problems.append(f"{key}: integer entry too large for a float")
         return None
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError):
         problems.append(f"{key}: expected a square matrix of numbers or [re, im] pairs")
         return None
     if not np.all(np.isfinite(m)):
@@ -90,13 +96,13 @@ def _number(data, key, problems, default=None, required=True, positive=True):
         if required:
             problems.append(f"missing required key '{key}'")
         return default
+    if not _is_number(data[key]):
+        problems.append(f"{key}: expected a number, got {data[key]!r}")
+        return default
     try:
         v = float(data[key])
     except OverflowError:
         problems.append(f"{key}: integer too large for a float")
-        return default
-    except (TypeError, ValueError):
-        problems.append(f"{key}: expected a number, got {data[key]!r}")
         return default
     if not math.isfinite(v) or (positive and not v > 0):
         problems.append(f"{key}: must be a {'positive ' if positive else ''}finite number, got {v}")
@@ -117,14 +123,15 @@ class ScenarioConfig:
     time_scale: float
     params: dict = field(default_factory=dict)
 
-    def averaging_filter(self) -> AveragingFilter:
+    def averaging_filter(self) -> float:
+        """The averaging cutoff: the configured one, else the default."""
         if self.cutoff is not None:
-            return AveragingFilter(self.cutoff)
+            return self.cutoff
         return default_filter(self.hamiltonian)
 
     def compares(self) -> bool:
         """Whether a run compares the exact and averaged trajectories."""
-        return (math.isfinite(self.averaging_filter().cutoff)
+        return (math.isfinite(self.averaging_filter())
                 and "entries" in self.outputs and self.hamiltonian.dim >= 2)
 
 
@@ -159,7 +166,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         outputs = list(_OUTPUT_GROUPS)
 
     params: dict = {}
-    hamiltonian = None
+    drives = None  # (h0, ((h_n, w_n), ...)) once the kind's keys parse
     time_scale = 1.0
     if kind == "ac_stark":
         b = _number(data, "b", problems)
@@ -170,7 +177,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             omega_rabi = b * delta
             h = np.zeros((2, 2), dtype=complex)
             h[1, 0] = omega_rabi / 2.0
-            hamiltonian = HarmonicHamiltonian(np.zeros((2, 2)), ((h, delta),))
+            drives = (np.zeros((2, 2)), ((h, delta),))
             params = {"b": b, "delta": delta, "Omega": omega_rabi}
             time_scale = delta
     elif kind == "raman":
@@ -183,7 +190,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             h1[2, 0] = o1 / 2.0
             h2 = np.zeros((3, 3), dtype=complex)
             h2[2, 1] = o2 / 2.0
-            hamiltonian = HarmonicHamiltonian(np.zeros((3, 3)), ((h1, w1), (h2, w2)))
+            drives = (np.zeros((3, 3)), ((h1, w1), (h2, w2)))
             params = {"Omega1": o1, "Omega2": o2, "omega1": w1, "omega2": w2}
     else:
         h0 = None
@@ -205,10 +212,14 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             if h is not None and w is not None:
                 terms.append((h, w))
         if h0 is not None:
-            try:
-                hamiltonian = HarmonicHamiltonian(h0, tuple(terms))
-            except ValueError as exc:
-                problems.append(str(exc))
+            drives = (h0, tuple(terms))
+
+    hamiltonian = None
+    if drives is not None:
+        try:
+            hamiltonian = HarmonicHamiltonian(*drives)
+        except ValueError as exc:
+            problems.append(str(exc))
 
     grid = None
     if t_max is not None and dt is not None:
@@ -227,8 +238,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         problems.append("missing required key 'initial' for custom_harmonic")
 
     if initial is not None:
-        report = validate_density(initial)
-        for failure in report.failures():
+        for failure in validate_density(initial):
             problems.append(f"initial: {failure}")
         if hamiltonian is not None and initial.shape[0] != hamiltonian.dim:
             problems.append(
@@ -313,10 +323,10 @@ def build_record(traj: Trajectory, time_scale: float = 1.0,
             series.append(coeffs[:, k])
     if "purity" in outputs:
         columns.append("purity")
-        series.append(traj.purity())
+        series.append(traj.purity)
     if "min_eig" in outputs:
         columns.append("min_eig")
-        series.append(traj.min_eigenvalues())
+        series.append(traj.min_eigenvalues)
     return TrajectoryRecord(tuple(columns), np.column_stack(series))
 
 
@@ -330,15 +340,20 @@ def emit_csv(record: TrajectoryRecord, path) -> None:
 
 def read_csv(path) -> TrajectoryRecord:
     """Read back a CSV produced by :func:`emit_csv`."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    columns = tuple(lines[0].split(","))
-    data = np.array(
-        [[float(v) for v in line.split(",")] for line in lines[1:] if line],
-        dtype=float,
-    )
-    if data.size and data.shape[1] != len(columns):
+    with open(path, encoding="utf-8") as f:
+        header = f.readline().rstrip("\n")
+        if not header:
+            raise ValueError(f"{path}: empty CSV")
+        columns = tuple(header.split(","))
+        start = f.tell()
+        while (line := f.readline()) and not line.strip():
+            start = f.tell()
+        if not line:
+            # no data rows: loadtxt would warn rather than return them
+            return TrajectoryRecord(columns, np.empty((0, len(columns))))
+        f.seek(start)
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    if data.shape[1] != len(columns):
         raise ValueError(f"{path}: ragged CSV")
     return TrajectoryRecord(columns, data)
 
@@ -356,7 +371,12 @@ def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,
     ta, tb = a.times, b.times
     if ta.shape != tb.shape or not np.array_equal(ta, tb):
         raise ValueError("trajectories are on different grids")
+    if ta.size < MIN_SAMPLES:
+        raise ValueError(f"trajectories have {ta.size} samples, comparing them "
+                         f"needs at least {MIN_SAMPLES}")
     dt = float(ta[1] - ta[0])
+    if not dt > 0:
+        raise ValueError(f"time step must be positive, got {dt:g}")
     xa = lowpass_series(a.column(column), dt, cutoff)
     xb = lowpass_series(b.column(column), dt, cutoff)
     n = xa.size
@@ -396,7 +416,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     up front; a violating scenario still runs, flagged in the report.
     """
     ratio = validity_ratio(cfg.hamiltonian)
-    filt = cfg.averaging_filter()
+    cutoff = cfg.averaging_filter()
     traj_exact = propagate_exact(cfg.hamiltonian.as_fourier(), cfg.initial, cfg.grid)
     generator = EffectiveGenerator(cfg.hamiltonian)
     traj_eff = propagate_effective(generator, cfg.initial, cfg.grid)
@@ -408,21 +428,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         "params": cfg.params,
         "validity_ratio": ratio,
         "validity_ok": bool(ratio < 1.0),
-        "cutoff": filt.cutoff if math.isfinite(filt.cutoff) else None,
+        "cutoff": cutoff if math.isfinite(cutoff) else None,
         "purity_drift_exact": _purity_drift(traj_exact),
         "purity_drift_effective": _purity_drift(traj_eff),
-        "min_eigenvalue_exact": float(traj_exact.min_eigenvalues().min()),
-        "min_eigenvalue_effective": float(traj_eff.min_eigenvalues().min()),
+        "min_eigenvalue_exact": float(traj_exact.min_eigenvalues.min()),
+        "min_eigenvalue_effective": float(traj_eff.min_eigenvalues.min()),
     }
     if cfg.compares():
         # cutoff in reported time units, matching the CSV t column
         metrics = compare_trajectories(
-            rec_exact, rec_eff, filt.cutoff / cfg.time_scale
+            rec_exact, rec_eff, cutoff / cfg.time_scale
         )
         report["comparison"] = metrics
     return RunResult(rec_exact, rec_eff, report)
 
 
 def _purity_drift(traj: Trajectory) -> float:
-    purity = traj.purity()
+    purity = traj.purity
     return float(np.abs(purity - purity[0]).max())

@@ -51,7 +51,7 @@ def test_criterion_02_ac_stark_frequency_correspondence():
     exact = a.propagate_exact(ham.as_fourier(), PLUS, grid)
     effective = a.propagate_effective(a.EffectiveGenerator(ham), PLUS, grid)
     dt = grid.dt
-    cutoff = a.default_filter(ham).cutoff
+    cutoff = a.default_filter(ham)
     sig_ex = a.lowpass_series(exact.entry(0, 1).real, dt, cutoff)
     sig_ef = a.lowpass_series(effective.entry(0, 1).real, dt, cutoff)
     f_ex = a.dominant_frequency(sig_ex, dt)
@@ -84,7 +84,7 @@ def test_criterion_03_single_frequency_decoherence_vanishes():
         rho0 = random_density(rng, d)
         w = ham.terms[0][1]
         traj = a.propagate_effective(gen, rho0, a.TimeGrid(0.0, 100.0, 0.025 / w))
-        purity = traj.purity()
+        purity = traj.purity
         worst_drift = max(worst_drift, float(np.abs(purity - purity[0]).max()))
     ok = worst_norm == 0.0 and worst_drift <= 1e-9
     report(3, ok, f"50 single-frequency systems: decoherence norm {worst_norm} "
@@ -215,9 +215,9 @@ def test_criterion_09_coherence_block_decoupling():
     worst = 0.0
     for t in (0.0, 2.9, 17.3, 44.0):
         jac = np.empty((8, 8))
-        for col, gb in enumerate(basis.elements()):
+        for col, gb in enumerate(basis):
             out = gen.master_rhs(gb, t)
-            for row, ga in enumerate(basis.elements()):
+            for row, ga in enumerate(basis):
                 jac[row, col] = np.trace(out @ ga).real / 2
         worst = max(worst,
                     float(np.abs(jac[:4, 4:]).max()),

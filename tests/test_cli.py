@@ -39,8 +39,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("t0, message", [
         ([1], "t0: expected a number, got [1]"),
-        ("nan", "t0: must be a finite number, got nan"),
-        ("inf", "t0: must be a finite number, got inf"),
+        (float("nan"), "t0: must be a finite number, got nan"),
+        (float("inf"), "t0: must be a finite number, got inf"),
     ])
     def test_malformed_t0(self, tmp_path, capsys, t0, message):
         path = tmp_path / "t0.json"
@@ -67,10 +67,28 @@ class TestValidate:
          "h0: integer entry too large for a float"),
         ('"kind": "ac_stark", "b": 1' + "0" * 5000,
          "JSON parse error: Exceeds the limit"),
+        ('"kind": "ac_stark", "b": 0.3, "t_max": true',
+         "t_max: expected a number, got True"),
+        ('"kind": "ac_stark", "b": 0.3, "dt": "0.01"',
+         "dt: expected a number, got '0.01'"),
+        ('"kind": "ac_stark", "b": 0.3, "t0": "nan"',
+         "t0: expected a number, got 'nan'"),
+        ('"kind": "custom_harmonic", "h0": [["1", "0"], ["0", "-1"]], "terms": [], '
+         '"initial": [[1, 0], [0, 0]]',
+         "h0: expected a square matrix of numbers or [re, im] pairs"),
+        ('"kind": "custom_harmonic", "h0": "1", "terms": [], "initial": [[1]]',
+         "h0: expected a square matrix of numbers or [re, im] pairs"),
+        ('"kind": "ac_stark", "b": 0.3, "initial": [[[0.5, false], 0], [0, 0.5]]',
+         "initial: expected a square matrix of numbers or [re, im] pairs"),
+        ('"kind": "ac_stark", "b": 1e200, "delta": 1e200',
+         "drive operator 0 entries must be finite"),
     ], ids=["nan_h0", "inf_term", "nan_initial", "long_int_number", "long_int_entry",
-            "over_digit_limit"])
+            "over_digit_limit", "bool_number", "string_number", "string_nan",
+            "string_entries", "string_matrix", "bool_pair", "overflowing_drive"])
     def test_malformed_numbers(self, tmp_path, capsys, keys, message):
-        # NaN, Infinity and integers of any length are valid Python JSON
+        # NaN, Infinity and integers of any length are valid Python JSON; only
+        # numbers count as numbers, and a drive whose operator overflows is
+        # rejected at validation rather than at run time
         path = tmp_path / "numbers.json"
         path.write_text('{"t_max": 20, "dt": 0.01, ' + keys + "}", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
@@ -147,6 +165,18 @@ class TestCompare:
         metrics = json.loads(capsys.readouterr().out)
         assert set(metrics) >= {"frequency_difference", "amplitude_ratio",
                                 "max_deviation"}
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "trajectories have 0 samples, comparing them needs at least 64"),
+        (["0,0.5"], "trajectories have 1 samples, comparing them needs at least 64"),
+        (["0,0.5"] + [f"{0.1 * k:g},0.5" for k in range(100)],
+         "time step must be positive, got 0"),
+    ], ids=["header_only", "one_row", "repeated_time"])
+    def test_uncomparable_csv_is_runtime_error(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["t,rho12_re"] + rows) + "\n", encoding="utf-8")
+        assert main(["compare", str(path), str(path), "--cutoff", "0.5"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_grid_mismatch_is_runtime_error(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -129,7 +129,7 @@ class TestPropagateExact:
         w_max = max(ham.frequencies())
         rho0 = random_density(rng, 2)
         traj = propagate_exact(ham.as_fourier(), rho0, TimeGrid(0, 100, 0.025 / w_max))
-        purity = traj.purity()
+        purity = traj.purity
         assert np.abs(purity - purity[0]).max() < 1e-8
 
     def test_trace_stays_normalized(self):
@@ -180,9 +180,9 @@ class TestPropagateEffective:
         traj = propagate_effective(EffectiveGenerator(ham), rho0, grid)
         n = grid.n_steps + 1
         assert traj.states.shape == (n, 3, 3)
-        assert traj.purity().shape == (n,)
-        assert traj.min_eigenvalues().shape == (n,)
-        assert traj.min_eigenvalues().min() > -1e-9
+        assert traj.purity.shape == (n,)
+        assert traj.min_eigenvalues.shape == (n,)
+        assert traj.min_eigenvalues.min() > -1e-9
 
     def test_matches_exact_for_commuting_static_hamiltonian(self):
         # with no drive the averaged equation is the exact one

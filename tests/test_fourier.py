@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from avgdyn.fourier import AveragingFilter, FourierOperator, lowpass_average, sandwich
+from avgdyn.fourier import FourierOperator, lowpass_average, sandwich
 from avgdyn.linalg import unvectorize, vectorize
 from util import random_complex
 
@@ -95,34 +95,34 @@ class TestCalculus:
 class TestLowpass:
     def test_fast_term_deleted(self):
         f = single(np.eye(2), 3.0)
-        assert lowpass_average(f, AveragingFilter(1.0)).terms == ()
+        assert lowpass_average(f, 1.0).terms == ()
 
     def test_boundary_frequency_deleted(self):
         f = single(np.eye(2), 1.0)
-        assert lowpass_average(f, AveragingFilter(1.0)).terms == ()
+        assert lowpass_average(f, 1.0).terms == ()
 
     def test_slow_term_unchanged(self):
         rng = np.random.default_rng(6)
         c = random_complex(rng, 2)
         f = single(c, 0.05) + single(c, 5.0)
-        out = lowpass_average(f, AveragingFilter(1.0))
+        out = lowpass_average(f, 1.0)
         assert len(out.terms) == 1
         assert out.terms[0].nu == 0.05
         assert_allclose(out.terms[0].coeff, c, atol=0)
 
     def test_constant_passes(self):
         f = single(np.eye(2), 0.0)
-        out = lowpass_average(f, AveragingFilter(0.5))
+        out = lowpass_average(f, 0.5)
         assert_allclose(out.evaluate(3.0), np.eye(2), atol=0)
 
     def test_secular_term_passes(self):
         f = single(np.eye(2), 0.0, 3)
-        out = lowpass_average(f, AveragingFilter(0.5))
+        out = lowpass_average(f, 0.5)
         assert len(out.terms) == 1 and out.terms[0].p == 3
 
     def test_invalid_cutoff(self):
-        with pytest.raises(ValueError, match="positive"):
-            AveragingFilter(0.0)
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            lowpass_average(single(np.eye(2), 0.0), 0.0)
 
 
 class TestSandwich:

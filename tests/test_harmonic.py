@@ -237,9 +237,9 @@ class TestRamanJacobianStructure:
         basis = gellmann_basis()
         for t in (0.0, 3.7, 9.2):
             jac = np.empty((8, 8))
-            for col, gb in enumerate(basis.elements()):
+            for col, gb in enumerate(basis):
                 out = gen.master_rhs(gb, t)
-                for row, ga in enumerate(basis.elements()):
+                for row, ga in enumerate(basis):
                     jac[row, col] = np.trace(out @ ga).real / 2
             theta = (params.omega1 - params.omega2) * t
             assert_allclose(jac[:4, :4], bloch_matrix(params, theta), atol=1e-14)
@@ -259,5 +259,5 @@ class TestPurityConservation:
         rho0 = random_density(rng, 3)
         w = ham.terms[0][1]
         traj = propagate_effective(gen, rho0, TimeGrid(0.0, 100.0, 0.05 / w))
-        purity = traj.purity()
+        purity = traj.purity
         assert np.abs(purity - purity[0]).max() < 1e-9

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from avgdyn.linalg import (
+    BLOCH_LABELS,
     anticommutator_superop,
     bloch_decompose,
     commutator_superop,
@@ -45,22 +46,16 @@ class TestCommutators:
 
 class TestValidateDensity:
     def test_pure_state_passes(self):
-        report = validate_density(np.diag([1.0, 0.0]))
-        assert report.ok and not report.failures()
+        assert validate_density(np.diag([1.0, 0.0])) == []
 
     def test_positivity_failure_reports_eigenvalue(self):
-        # eigenvalues 0.5 +/- 0.6
+        # eigenvalues 0.5 +/- 0.6; Hermitian with unit trace
         m = np.array([[0.5, 0.6], [0.6, 0.5]])
-        report = validate_density(m)
-        assert not report.positive
-        assert_allclose(report.min_eigenvalue, -0.1, atol=1e-14)
-        assert report.hermitian and report.unit_trace
+        assert validate_density(m) == ["minimum eigenvalue -1.000e-01"]
 
     def test_hermiticity_failure(self):
         m = np.array([[0.5, 0.1j], [0.1j, 0.5]])
-        report = validate_density(m)
-        assert not report.hermitian
-        assert any("hermiticity" in f for f in report.failures())
+        assert any("hermiticity" in f for f in validate_density(m))
 
     def test_require_density_raises_with_names(self):
         with pytest.raises(ValueError, match="minimum eigenvalue"):
@@ -95,27 +90,27 @@ class TestVectorization:
 class TestGellMann:
     def test_orthogonality_and_trace(self):
         basis = gellmann_basis()
-        elems = basis.elements()
-        for i, gi in enumerate(elems):
+        assert basis.shape == (8, 3, 3) and not basis.flags.writeable
+        for i, gi in enumerate(basis):
             assert abs(np.trace(gi)) < 1e-15
             assert_allclose(gi, gi.conj().T, atol=0)
-            for j, gj in enumerate(elems):
+            for j, gj in enumerate(basis):
                 expected = 2.0 if i == j else 0.0
                 assert abs(np.trace(gi @ gj) - expected) < 1e-14
 
     def test_w_norm(self):
-        basis = gellmann_basis()
+        w = gellmann_basis()[BLOCH_LABELS.index("w")]
         # (1/3)(1 + 1 + 4) = 2
-        assert_allclose(np.trace(basis.w @ basis.w).real, 2.0, atol=1e-15)
+        assert_allclose(np.trace(w @ w).real, 2.0, atol=1e-15)
 
     def test_x_entry_pattern(self):
-        basis = gellmann_basis()
-        assert_allclose(basis.x, ketbra(0, 1, 3) + ketbra(1, 0, 3), atol=0)
-        assert_allclose(basis.z, ketbra(0, 0, 3) - ketbra(1, 1, 3), atol=0)
+        basis = dict(zip(BLOCH_LABELS, gellmann_basis()))
+        assert_allclose(basis["x"], ketbra(0, 1, 3) + ketbra(1, 0, 3), atol=0)
+        assert_allclose(basis["z"], ketbra(0, 0, 3) - ketbra(1, 1, 3), atol=0)
 
     def test_xy_orthogonal(self):
-        basis = gellmann_basis()
-        assert abs(np.trace(basis.x @ basis.y)) == 0.0
+        basis = dict(zip(BLOCH_LABELS, gellmann_basis()))
+        assert abs(np.trace(basis["x"] @ basis["y"])) == 0.0
 
 
 class TestBloch:
@@ -133,9 +128,8 @@ class TestBloch:
         rng = np.random.default_rng(5)
         for _ in range(25):
             rho = random_density(rng, 3)
-            basis = gellmann_basis()
-            back = basis.identity / 3 + sum(
-                c * g for c, g in zip(bloch_decompose(rho), basis.elements()))
+            back = np.eye(3) / 3 + sum(
+                c * g for c, g in zip(bloch_decompose(rho), gellmann_basis()))
             assert_allclose(back, rho, atol=1e-12)
 
     def test_wrong_dimension_rejected(self):

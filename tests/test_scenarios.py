@@ -40,7 +40,7 @@ class TestLoadScenario:
         assert cfg.params["Omega"] == pytest.approx(0.3)
         assert cfg.grid.t_max == 200 and cfg.grid.dt == 0.01
         # default averaging cutoff is half the drive frequency
-        assert cfg.averaging_filter().cutoff == 0.5
+        assert cfg.averaging_filter() == 0.5
 
     def test_zero_dt_rejected(self, tmp_path):
         bad = dict(AC_MINIMAL, dt=0)
