@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import FourierOperator
-from .harmonic import EffectiveGenerator
-from .linalg import POSITIVITY_TOL, commutator_superop, require_density, vectorize
+from .fourier import commutator
+from .harmonic import EffectiveGenerator, HarmonicHamiltonian
+from .linalg import POSITIVITY_TOL, require_density, vectorize
 
 __all__ = ["TimeGrid", "Trajectory", "propagate_linear", "propagate_exact",
            "propagate_effective"]
@@ -26,8 +26,6 @@ logger = logging.getLogger(__name__)
 
 MAX_STEPS = 10_000_000
 TRACE_RENORM_TOL = 1e-12
-# Largest anti-Hermitian entry of H(t) accepted by propagate_exact
-HAMILTONIAN_HERM_TOL = 1e-10
 # Bytes per chunk stack of generator or increment matrices: bounds the
 # memory of a propagation independently of its length.
 CHUNK_BYTES = 256 * 1024
@@ -96,28 +94,33 @@ def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
     half-step times.  Each step's increment matrix X = P - I (the RK4
     transfer matrix minus the identity) is built with batched products, so
     only v <- v + X v runs step by step.  Returns the (n_steps + 1, len(v0))
-    trajectory in the dtype of ``v0``.
+    trajectory in the dtype of ``v0``, or raises ValueError if it diverged.
     """
     v = np.array(v0)
     n, dt = grid.n_steps, grid.dt
     out = np.empty((n + 1, v.size), dtype=v.dtype)
     out[0] = v
     chunk = _steps_per_chunk(v.size, v.dtype)
-    for start in range(0, n, chunk):
-        k = min(chunk, n - start)
-        half_steps = np.arange(2 * start, 2 * (start + k) + 1)
-        hl = dt * generators(grid.t0 + (0.5 * dt) * half_steps)
-        hl_mid = hl[1::2]
-        # RK4 stages as matrices acting on the step's initial state, with
-        # the identity left out so that rounding stays at the size of X
-        k1 = hl[:-1:2]
-        k2 = hl_mid + 0.5 * (hl_mid @ k1)
-        k3 = hl_mid + 0.5 * (hl_mid @ k2)
-        k4 = hl[2::2] + hl[2::2] @ k3
-        increments = (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-        for j, x in enumerate(increments, start + 1):
-            v = v + x @ v
-            out[j] = v
+    # a diverging solution overflows: it is reported below, once
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, chunk):
+            k = min(chunk, n - start)
+            half_steps = np.arange(2 * start, 2 * (start + k) + 1)
+            hl = dt * generators(grid.t0 + (0.5 * dt) * half_steps)
+            hl_mid = hl[1::2]
+            # RK4 stages as matrices acting on the step's initial state, with
+            # the identity left out so that rounding stays at the size of X
+            k1 = hl[:-1:2]
+            k2 = hl_mid + 0.5 * (hl_mid @ k1)
+            k3 = hl_mid + 0.5 * (hl_mid @ k2)
+            k4 = hl[2::2] + hl[2::2] @ k3
+            increments = (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+            for j, x in enumerate(increments, start + 1):
+                v = v + x @ v
+                out[j] = v
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"propagation diverged at t={grid.t0 + dt * finite.argmin():.6g}")
     return out
 
 
@@ -149,37 +152,27 @@ def _renormalize_traces(states, grid: TimeGrid) -> None:
         states /= np.repeat(scales, np.diff(events + [len(traces)]))[:, None, None]
 
 
-def _propagate_density(generators, rho0, grid: TimeGrid) -> Trajectory:
-    """Propagate a column-stacked density matrix and renormalize its trace."""
-    d = rho0.shape[0]
-    vecs = propagate_linear(generators, vectorize(rho0), grid)
+def _propagate_density(generators, dim, rho0, grid: TimeGrid) -> Trajectory:
+    """Propagate a dim-level density matrix, column-stacked; renormalize its trace."""
+    rho = require_density(rho0)
+    d = rho.shape[0]
+    if dim != d:
+        raise ValueError(f"Hamiltonian dim {dim} != state dim {d}")
+    vecs = propagate_linear(generators, vectorize(rho), grid)
     # row t of vecs is vec(rho_t), which is rho_t.T in row-major order
     states = vecs.reshape(-1, d, d).transpose(0, 2, 1)
     _renormalize_traces(states, grid)
     return Trajectory(grid.times(), states)
 
 
-def propagate_exact(hamiltonian: FourierOperator, rho0, grid: TimeGrid) -> Trajectory:
+def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> Trajectory:
     """Integrate i d(rho)/dt = [H(t), rho] with fixed-step RK4.
 
-    H(t) is checked for Hermiticity within HAMILTONIAN_HERM_TOL at every
-    time the integrator evaluates it (grid and half-step times); the trace
+    H(t) is Hermitian by construction of the HarmonicHamiltonian; the trace
     is renormalized (and logged) only if it drifts beyond 1e-12.
     """
-    rho = require_density(rho0)
-    d = rho.shape[0]
-    if hamiltonian.dim != d:
-        raise ValueError(f"Hamiltonian dim {hamiltonian.dim} != state dim {d}")
-
-    def generators(times):
-        h = hamiltonian.evaluate(times)
-        bad = (np.abs(h - h.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-               > HAMILTONIAN_HERM_TOL)
-        if bad.any():
-            raise ValueError(f"Hamiltonian is not Hermitian at t={times[bad.argmax()]:.6g}")
-        return -1j * commutator_superop(h)
-
-    return _propagate_density(generators, rho, grid)
+    generator = -1j * commutator(hamiltonian.as_fourier())
+    return _propagate_density(generator.evaluate, hamiltonian.dim, rho0, grid)
 
 
 def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid) -> Trajectory:
@@ -189,11 +182,7 @@ def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid) -> 
     minimum eigenvalue is monitored along the trajectory and excursions
     below -POSITIVITY_TOL are logged as warnings, never clamped.
     """
-    rho = require_density(rho0)
-    d = rho.shape[0]
-    if generator.dim != d:
-        raise ValueError(f"generator dim {generator.dim} != state dim {d}")
-    traj = _propagate_density(generator.liouvillian_matrix, rho, grid)
+    traj = _propagate_density(generator.liouvillian_matrix, generator.dim, rho0, grid)
     min_eig = traj.min_eigenvalues.min()
     if min_eig < -POSITIVITY_TOL:
         logger.warning("averaged evolution dipped to min eigenvalue %.3e", min_eig)

@@ -15,7 +15,8 @@ the pass band).
 
 Superoperator-valued sums reuse the same class with ``d**2 x d**2``
 coefficients; :func:`sandwich` lifts a pair of operator sums to the
-superoperator sum of the map rho -> L(t) rho R(t).
+superoperator sum of the map rho -> L(t) rho R(t), and :func:`commutator`
+lifts H(t) to the sum of rho -> [H(t), rho].
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .linalg import superop
+
 __all__ = [
     "FREQUENCY_MERGE_TOL",
     "FourierTerm",
     "FourierOperator",
     "lowpass_average",
     "sandwich",
+    "commutator",
 ]
 
 # Frequencies closer than this are treated as equal when merging terms,
@@ -208,14 +212,19 @@ def lowpass_average(f: FourierOperator, cutoff: float) -> FourierOperator:
 def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:
     """Superoperator-valued sum of the map rho -> left(t) @ rho @ right(t).
 
-    Coefficients are lifted with the column-stacking convention
-    kron(B.T, A); frequencies and powers add.
+    Every pair of terms is lifted with :func:`~avgdyn.linalg.superop`, left
+    terms outermost; frequencies and powers add.
     """
     if left.dim != right.dim:
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
-    terms = [
-        (np.kron(b.T, a), na + nb, pa + pb)
-        for a, na, pa in left.terms
-        for b, nb, pb in right.terms
-    ]
-    return FourierOperator(left.dim * left.dim, terms)
+    coeffs = superop(left._coeffs[:, None], right._coeffs[None, :])
+    nus = left._nus[:, None] + right._nus[None, :]
+    ps = left._ps[:, None] + right._ps[None, :]
+    dim = left.dim * left.dim
+    return FourierOperator(dim, zip(coeffs.reshape(-1, dim, dim), nus.ravel(), ps.ravel()))
+
+
+def commutator(h: FourierOperator) -> FourierOperator:
+    """Superoperator-valued sum of the map rho -> [h(t), rho]."""
+    one = FourierOperator.identity(h.dim)
+    return sandwich(h, one) - sandwich(one, h)

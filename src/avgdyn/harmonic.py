@@ -21,11 +21,12 @@ H_eff alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fourier import FREQUENCY_MERGE_TOL, FourierOperator
-from .linalg import anticommutator_superop, commutator_superop, unvectorize, vectorize
+from .fourier import FREQUENCY_MERGE_TOL, FourierOperator, commutator
+from .linalg import superop, unvectorize, vectorize
 
 __all__ = [
     "HarmonicHamiltonian",
@@ -116,24 +117,30 @@ class EffectiveGenerator:
     def __init__(self, hamiltonian: HarmonicHamiltonian):
         self.hamiltonian = hamiltonian
         d = hamiltonian.dim
+        one = np.eye(d)
         eff_terms = [(hamiltonian.h0, 0.0, 0)]
         deco_terms = []
-        for n, (hn, wn) in enumerate(hamiltonian.terms):
-            for m, (hm, wm) in enumerate(hamiltonian.terms):
-                half_sum, half_diff = inverse_frequency_pair(hamiltonian, n, m)
-                hmd = hm.conj().T
-                # FourierOperator snaps a beat within FREQUENCY_MERGE_TOL to 0
-                eff_terms.append((half_sum * (hmd @ hn - hn @ hmd), wm - wn, 0))
-                if half_diff != 0.0:
-                    block = (
-                        anticommutator_superop(hmd @ hn)
-                        + anticommutator_superop(hn @ hmd)
-                        - 2.0 * np.kron(hm.conj(), hn)
-                        - 2.0 * np.kron(hn.T, hmd)
-                    )
-                    deco_terms.append((half_diff * block, wm - wn, 0))
-        self._h_eff = FourierOperator(d, eff_terms)
-        self._deco = FourierOperator(d * d, deco_terms)
+        # drives too large for floats overflow here; reported once, below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, (hn, wn) in enumerate(hamiltonian.terms):
+                for m, (hm, wm) in enumerate(hamiltonian.terms):
+                    half_sum, half_diff = inverse_frequency_pair(hamiltonian, n, m)
+                    hmd = hm.conj().T
+                    a, b = hmd @ hn, hn @ hmd
+                    # FourierOperator snaps a beat within FREQUENCY_MERGE_TOL to 0
+                    eff_terms.append((half_sum * (a - b), wm - wn, 0))
+                    if half_diff != 0.0:
+                        block = (
+                            (superop(a, one) + superop(one, a))
+                            + (superop(b, one) + superop(one, b))
+                            - 2.0 * superop(hn, hmd)
+                            - 2.0 * superop(hmd, hn)
+                        )
+                        deco_terms.append((half_diff * block, wm - wn, 0))
+            self._h_eff = FourierOperator(d, eff_terms)
+            self._deco = FourierOperator(d * d, deco_terms)
+        if not np.isfinite([self._h_eff.max_abs(), self._deco.max_abs()]).all():
+            raise ValueError("drive operators too large: the effective generator overflows")
 
     @property
     def dim(self) -> int:
@@ -163,10 +170,11 @@ class EffectiveGenerator:
             out = out + unvectorize(self._deco.evaluate(t) @ vectorize(rho))
         return -1j * out
 
+    @cached_property
+    def _liouvillian(self) -> FourierOperator:
+        return -1j * (commutator(self._h_eff) + self._deco)
+
     def liouvillian_matrix(self, t) -> np.ndarray:
         """Superoperator matrix of master_rhs at time t (acts on vec(rho));
         a 1-D array of times gives the stack of matrices."""
-        gen = commutator_superop(self._h_eff.evaluate(t))
-        if self._deco.terms:
-            gen = gen + self._deco.evaluate(t)
-        return -1j * gen
+        return self._liouvillian.evaluate(t)

@@ -18,8 +18,7 @@ import numpy as np
 __all__ = [
     "vectorize",
     "unvectorize",
-    "commutator_superop",
-    "anticommutator_superop",
+    "superop",
     "validate_density",
     "require_density",
     "gellmann_basis",
@@ -51,18 +50,12 @@ def unvectorize(v):
     return v.reshape((d, d), order="F")
 
 
-def commutator_superop(h):
-    """Matrix of rho -> [h, rho]; a (..., d, d) stack gives the stack of matrices."""
-    h = _as_square(h, stack=True)
-    eye = np.eye(h.shape[-1])
-    return np.kron(eye, h) - np.kron(np.swapaxes(h, -1, -2), eye)
-
-
-def anticommutator_superop(c):
-    """Matrix of rho -> {c, rho}."""
-    c = _as_square(c)
-    eye = np.eye(c.shape[0])
-    return np.kron(eye, c) + np.kron(c.T, eye)
+def superop(left, right):
+    """Matrix of rho -> left @ rho @ right, which is kron(right.T, left);
+    (..., d, d) stacks broadcast to the (..., d**2, d**2) stack of matrices."""
+    prod = np.swapaxes(right, -1, -2)[..., :, None, :, None] * left[..., None, :, None, :]
+    d = left.shape[-1]
+    return prod.reshape(prod.shape[:-4] + (d * d, d * d))
 
 
 # Tolerances of a density matrix: Hermiticity and unit trace, and how far

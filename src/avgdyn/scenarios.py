@@ -218,6 +218,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if drives is not None:
         try:
             hamiltonian = HarmonicHamiltonian(*drives)
+            EffectiveGenerator(hamiltonian)  # rejects drives whose products overflow
         except ValueError as exc:
             problems.append(str(exc))
 
@@ -417,7 +418,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """
     ratio = validity_ratio(cfg.hamiltonian)
     cutoff = cfg.averaging_filter()
-    traj_exact = propagate_exact(cfg.hamiltonian.as_fourier(), cfg.initial, cfg.grid)
+    traj_exact = propagate_exact(cfg.hamiltonian, cfg.initial, cfg.grid)
     generator = EffectiveGenerator(cfg.hamiltonian)
     traj_eff = propagate_effective(generator, cfg.initial, cfg.grid)
     rec_exact = build_record(traj_exact, cfg.time_scale, cfg.outputs)

@@ -48,7 +48,7 @@ def test_criterion_01_ac_stark_effective_hamiltonian():
 def test_criterion_02_ac_stark_frequency_correspondence():
     ham = ac_stark_hamiltonian(b=0.3, delta=1.0)
     grid = a.TimeGrid(0.0, 2000.0, 0.01)
-    exact = a.propagate_exact(ham.as_fourier(), PLUS, grid)
+    exact = a.propagate_exact(ham, PLUS, grid)
     effective = a.propagate_effective(a.EffectiveGenerator(ham), PLUS, grid)
     dt = grid.dt
     cutoff = a.default_filter(ham)

@@ -13,7 +13,7 @@ from avgdyn.averaging import (
 )
 from avgdyn.fourier import FourierOperator, lowpass_average
 from avgdyn.harmonic import HarmonicHamiltonian, default_filter
-from avgdyn.linalg import commutator_superop
+from avgdyn.linalg import superop
 from util import random_complex, random_density, random_harmonic, random_hermitian
 
 T0 = 0.3
@@ -254,8 +254,8 @@ class TestGeneratorSeries:
         gen = generator_series(ham.as_fourier(), default_filter(ham), T0, 2)
         shift = (h.conj().T @ h - h @ h.conj().T) / w
         for t in (0.0, 1.2, 5.5):
-            assert_allclose(gen.maps[2].evaluate(t), commutator_superop(shift),
-                            atol=1e-14)
+            want = superop(shift, np.eye(2)) - superop(np.eye(2), shift)
+            assert_allclose(gen.maps[2].evaluate(t), want, atol=1e-14)
 
     def test_harmonic_second_order_independent_of_t0(self):
         rng = np.random.default_rng(15)

@@ -82,9 +82,14 @@ class TestValidate:
          "initial: expected a square matrix of numbers or [re, im] pairs"),
         ('"kind": "ac_stark", "b": 1e200, "delta": 1e200',
          "drive operator 0 entries must be finite"),
+        ('"kind": "ac_stark", "b": 1e300',
+         "drive operators too large: the effective generator overflows"),
+        ('"kind": "raman", "Omega1": 1e160, "Omega2": 1e160, "omega1": 1, "omega2": 1.02',
+         "drive operators too large: the effective generator overflows"),
     ], ids=["nan_h0", "inf_term", "nan_initial", "long_int_number", "long_int_entry",
             "over_digit_limit", "bool_number", "string_number", "string_nan",
-            "string_entries", "string_matrix", "bool_pair", "overflowing_drive"])
+            "string_entries", "string_matrix", "bool_pair", "overflowing_drive",
+            "overflowing_generator", "overflowing_raman_generator"])
     def test_malformed_numbers(self, tmp_path, capsys, keys, message):
         # NaN, Infinity and integers of any length are valid Python JSON; only
         # numbers count as numbers, and a drive whose operator overflows is
@@ -144,6 +149,28 @@ class TestRun:
         assert report["validity_ok"] is True
         printed = json.loads(capsys.readouterr().out)
         assert printed == report
+
+    def test_large_entries_run(self, tmp_path):
+        # Hermitian, with H(t) entries of 1e7: rounding in H(t) - H(t)^dagger
+        # is far above 1e-10 and must not read as non-Hermitian
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(
+            {"kind": "custom_harmonic", "h0": [[1e7, [3e6, 1e6]], [[3e6, -1e6], -1e7]],
+             "terms": [{"h": [[2e6, [1e6, 7e5]], [[4e6, 3e5], 1e6]], "omega": 3e7}],
+             "initial": [[1, 0], [0, 0]], "t_max": 1e-6, "dt": 1e-9}
+        ), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_diverging_propagation_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(
+            {"kind": "ac_stark", "b": 1e100, "t_max": 2, "dt": 0.01}
+        ), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: propagation diverged at t=0.01\n"
+        assert not out.exists()
 
     def test_shipped_raman_equal_detuning(self, tmp_path):
         out = tmp_path / "out"

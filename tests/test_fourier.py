@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from avgdyn.fourier import FourierOperator, lowpass_average, sandwich
-from avgdyn.linalg import unvectorize, vectorize
-from util import random_complex
+from avgdyn.fourier import FourierOperator, commutator, lowpass_average, sandwich
+from avgdyn.linalg import superop, unvectorize, vectorize
+from util import random_complex, random_harmonic
 
 
 def single(coeff, nu, p=0):
@@ -143,3 +143,13 @@ class TestSandwich:
             got = unvectorize(s.evaluate(t) @ vectorize(rho))
             want = left.evaluate(t) @ rho @ right.evaluate(t)
             assert_allclose(got, want, atol=1e-13)
+
+
+class TestCommutator:
+    def test_stack_matches_lifted_evaluation(self):
+        rng = np.random.default_rng(10)
+        h = random_harmonic(rng, 3, 2, strength=0.5).as_fourier()
+        ts = np.linspace(-3.0, 40.0, 17)
+        one = np.eye(3)
+        want = np.array([superop(m, one) - superop(one, m) for m in h.evaluate(ts)])
+        assert np.abs(commutator(h).evaluate(ts) - want).max() <= 1e-15

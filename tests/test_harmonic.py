@@ -11,7 +11,7 @@ from avgdyn.harmonic import (
     default_filter,
     inverse_frequency_pair,
 )
-from avgdyn.linalg import gellmann_basis, unvectorize, vectorize
+from avgdyn.linalg import gellmann_basis, superop, unvectorize, vectorize
 from avgdyn.raman import RamanParams, bloch_matrix
 from util import random_complex, random_density, random_harmonic, random_hermitian
 
@@ -178,6 +178,18 @@ class TestDecoherenceSuperop:
             assert abs(np.trace(out)) < 1e-11
             img = out / 1j
             assert np.abs(img - img.conj().T).max() < 1e-11
+
+
+class TestLiouvillianMatrix:
+    def test_stack_matches_per_time_superoperators(self):
+        rng = np.random.default_rng(11)
+        gen = EffectiveGenerator(random_harmonic(rng, 3, 3, strength=0.3))
+        ts = np.linspace(0.0, 60.0, 13)
+        one = np.eye(3)
+        for t, got in zip(ts, gen.liouvillian_matrix(ts)):
+            h = gen.effective_hamiltonian(t)
+            want = -1j * (superop(h, one) - superop(one, h) + gen.decoherence_superop(t))
+            assert np.abs(got - want).max() <= 1e-15
 
 
 class TestMasterRhs:

@@ -4,11 +4,10 @@ from numpy.testing import assert_allclose
 
 from avgdyn.linalg import (
     BLOCH_LABELS,
-    anticommutator_superop,
     bloch_decompose,
-    commutator_superop,
     gellmann_basis,
     require_density,
+    superop,
     unvectorize,
     validate_density,
     vectorize,
@@ -22,26 +21,40 @@ def ketbra(i, j, d=2):
     return m
 
 
+def commutator_matrix(h):
+    one = np.eye(h.shape[-1])
+    return superop(h, one) - superop(one, h)
+
+
 class TestCommutators:
     def test_self_commutator_vanishes(self):
         rng = np.random.default_rng(0)
         a = random_hermitian(rng, 3)
-        assert_allclose(commutator_superop(a) @ vectorize(a), np.zeros(9), atol=1e-15)
+        assert_allclose(commutator_matrix(a) @ vectorize(a), np.zeros(9), atol=1e-15)
 
     def test_rank_one_commutator(self):
         # [|2><1|, |1><2|] = |2><2| - |1><1|
-        got = unvectorize(commutator_superop(ketbra(1, 0)) @ vectorize(ketbra(0, 1)))
+        got = unvectorize(commutator_matrix(ketbra(1, 0)) @ vectorize(ketbra(0, 1)))
         assert_allclose(got, ketbra(1, 1) - ketbra(0, 0), atol=0)
 
     def test_anticommutator_with_identity(self):
         rng = np.random.default_rng(1)
         b = random_hermitian(rng, 4)
-        got = unvectorize(anticommutator_superop(np.eye(4)) @ vectorize(b))
+        one = np.eye(4)
+        got = unvectorize((superop(one, one) + superop(one, one)) @ vectorize(b))
         assert_allclose(got, 2 * b, atol=0)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="square"):
-            commutator_superop(np.ones((2, 3)))
+
+class TestSuperop:
+    def test_broadcast_stacks_equal_per_pair_kron(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3, 4):
+            left = rng.standard_normal((4, 1, d, d)) + 1j * rng.standard_normal((4, 1, d, d))
+            right = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+            got = superop(left, right)
+            assert got.shape == (4, 3, d * d, d * d)
+            want = np.array([[np.kron(r.T, l) for r in right] for l in left[:, 0]])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestValidateDensity:

@@ -6,8 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from avgdyn.dynamics import TimeGrid, propagate_effective, propagate_exact
-from avgdyn.fourier import FourierOperator
-from avgdyn.harmonic import EffectiveGenerator
+from avgdyn.harmonic import EffectiveGenerator, HarmonicHamiltonian
 from avgdyn.linalg import BLOCH_LABELS, bloch_decompose
 from avgdyn.scenarios import (
     ScenarioError,
@@ -257,12 +256,12 @@ class TestCompare:
 class TestBuildRecord:
     def test_time_scale_applied(self):
         rho0 = np.eye(2, dtype=complex) / 2
-        traj = propagate_exact(FourierOperator.zero(2), rho0, TimeGrid(0, 1, 0.25))
+        traj = propagate_exact(HarmonicHamiltonian(np.zeros((2, 2))), rho0, TimeGrid(0, 1, 0.25))
         record = build_record(traj, time_scale=2.0)
         assert_allclose(record.times, [0.0, 0.5, 1.0, 1.5, 2.0], atol=0)
 
     def test_output_selection(self):
         rho0 = np.eye(2, dtype=complex) / 2
-        traj = propagate_exact(FourierOperator.zero(2), rho0, TimeGrid(0, 1, 0.5))
+        traj = propagate_exact(HarmonicHamiltonian(np.zeros((2, 2))), rho0, TimeGrid(0, 1, 0.5))
         record = build_record(traj, outputs=("purity",))
         assert record.columns == ("t", "purity")
