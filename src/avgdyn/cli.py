@@ -75,6 +75,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not args.cutoff > 0:
+        print("error: --cutoff must be positive", file=sys.stderr)
+        return EXIT_VALIDATION
     rec_a = read_csv(args.a)
     rec_b = read_csv(args.b)
     metrics = compare_trajectories(rec_a, rec_b, args.cutoff, column=args.column)
@@ -94,14 +97,20 @@ def _cmd_derive(args) -> int:
         return EXIT_VALIDATION
     t0 = cfg.grid.t0
     generator = EffectiveGenerator(cfg.hamiltonian)
+    # drives too large for floats overflow in the series products; reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = generator_series(
+            cfg.hamiltonian.as_fourier(), cfg.averaging_filter(), t0, args.order
+        )
+    if not np.isfinite([m.max_abs() for m in series.maps]).all():
+        print("error: drive operators too large: the generator series overflows",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     print(f"# scenario kind: {cfg.kind}")
     print(f"# effective Hamiltonian at t0={t0:g}")
     print(_format_matrix(generator.effective_hamiltonian(t0)))
     print(f"# decoherence superoperator at t0={t0:g}")
     print(_format_matrix(generator.decoherence_superop(t0)))
-    series = generator_series(
-        cfg.hamiltonian.as_fourier(), cfg.averaging_filter(), t0, args.order
-    )
     for k in range(1, args.order + 1):
         print(f"# order-{k} generator at t0={t0:g} (acts on vec(rho))")
         print(_format_matrix(series.maps[k].evaluate(t0)))
@@ -131,7 +140,11 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

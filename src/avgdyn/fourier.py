@@ -36,9 +36,8 @@ __all__ = [
     "commutator",
 ]
 
-# Frequencies closer than this are treated as equal when merging terms,
-# which keeps products of near-resonant factors from blowing up the term
-# count through floating-point drift.
+# Sorted neighbouring frequencies this close merge into one term, so float
+# drift in products of near-resonant factors does not grow the term count.
 FREQUENCY_MERGE_TOL = 1e-12
 
 
@@ -48,58 +47,71 @@ class FourierTerm(NamedTuple):
     p: int
 
 
-def _merge(dim, terms):
-    by_p: dict[int, list[tuple[float, np.ndarray]]] = {}
-    for coeff, nu, p in terms:
-        c = np.asarray(coeff, dtype=complex)
-        if c.shape != (dim, dim):
-            raise ValueError(f"coefficient shape {c.shape} does not match dim {dim}")
-        p = int(p)
-        if p < 0:
-            raise ValueError("polynomial degree must be non-negative")
-        nu = float(nu)
-        if abs(nu) <= FREQUENCY_MERGE_TOL:
-            nu = 0.0
-        by_p.setdefault(p, []).append((nu, c))
-    out = []
-    for p in sorted(by_p):
-        entries = sorted(by_p[p], key=lambda e: e[0])
-        i = 0
-        while i < len(entries):
-            nu0 = entries[i][0]
-            acc = entries[i][1].copy()
-            j = i + 1
-            while j < len(entries) and entries[j][0] - nu0 <= FREQUENCY_MERGE_TOL:
-                acc += entries[j][1]
-                j += 1
-            if np.any(acc != 0):
-                out.append(FourierTerm(acc, nu0, p))
-            i = j
-    return tuple(out)
+def _merge(coeffs, nus, ps):
+    """Canonical (coeffs, nus, ps) arrays of the sum of the given terms.
+
+    ``|nu| <= FREQUENCY_MERGE_TOL`` snaps to 0.0.  Terms are stably sorted
+    by (p, nu); a term starts a new group when p changes or nu exceeds the
+    previous term's by more than the tolerance.  A group keeps its first nu
+    and sums its coefficients in sorted order (``np.add.at``; ``reduceat``
+    does not add in order).  Groups that sum to exact zero are dropped.
+    """
+    nus = np.where(np.abs(nus) <= FREQUENCY_MERGE_TOL, 0.0, nus)
+    order = np.lexsort((nus, ps))
+    coeffs, nus, ps = coeffs[order], nus[order], ps[order]
+    start = np.ones(len(nus), dtype=bool)
+    start[1:] = (ps[1:] != ps[:-1]) | (np.diff(nus) > FREQUENCY_MERGE_TOL)
+    sums = coeffs[start]
+    np.add.at(sums, np.cumsum(start)[~start] - 1, coeffs[~start])
+    keep = np.any(sums != 0, axis=(1, 2))
+    sums = sums[keep]
+    sums.setflags(write=False)
+    return sums, nus[start][keep], ps[start][keep]
+
+
+def _operator(dim, coeffs, nus, ps):
+    op = object.__new__(FourierOperator)
+    op.dim = dim
+    op._coeffs, op._nus, op._ps = _merge(coeffs, nus, ps)
+    return op
+
+
+def _concat(dim, *parts):
+    """Operator holding the terms of every (coeffs, nus, ps) part."""
+    return _operator(dim, *(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
+def _pairs(left, right, coeffs, dim):
+    """Operator of the (left, right) term-pair ``coeffs``, left outermost; nus and ps add."""
+    nus = left._nus[:, None] + right._nus[None, :]
+    ps = left._ps[:, None] + right._ps[None, :]
+    return _operator(dim, coeffs.reshape(-1, dim, dim), nus.ravel(), ps.ravel())
 
 
 class FourierOperator:
     """Finite sum of (matrix) * t**p * exp(i nu t) terms.
 
-    Immutable after construction; terms with identical (nu, p) are merged
-    and exact-zero coefficients pruned.
+    Immutable; held as (p, nu)-sorted arrays of coefficients ``(n, dim, dim)``,
+    frequencies ``(n,)`` and degrees ``(n,)``, merged by :func:`_merge`.
     """
 
-    __slots__ = ("dim", "_terms", "_coeffs", "_nus", "_ps")
+    __slots__ = ("dim", "_coeffs", "_nus", "_ps")
 
     def __init__(self, dim: int, terms: Iterable = ()):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        self._terms = _merge(self.dim, terms)
-        if self._terms:
-            self._coeffs = np.stack([t.coeff for t in self._terms])
-            self._nus = np.array([t.nu for t in self._terms])
-            self._ps = np.array([t.p for t in self._terms], dtype=np.int64)
-        else:
-            self._coeffs = np.zeros((0, self.dim, self.dim), dtype=complex)
-            self._nus = np.zeros(0)
-            self._ps = np.zeros(0, dtype=np.int64)
+        terms = list(terms)
+        coeffs = np.zeros((len(terms), self.dim, self.dim), dtype=complex)
+        nus, ps = np.zeros(len(terms)), np.zeros(len(terms), dtype=np.int64)
+        for k, (coeff, nu, p) in enumerate(terms):
+            c = np.asarray(coeff, dtype=complex)
+            if c.shape != (self.dim, self.dim):
+                raise ValueError(f"coefficient shape {c.shape} does not match dim {self.dim}")
+            if int(p) < 0:
+                raise ValueError("polynomial degree must be non-negative")
+            coeffs[k], nus[k], ps[k] = c, float(nu), int(p)
+        self._coeffs, self._nus, self._ps = _merge(coeffs, nus, ps)
 
     @classmethod
     def zero(cls, dim):
@@ -116,7 +128,8 @@ class FourierOperator:
 
     @property
     def terms(self) -> tuple[FourierTerm, ...]:
-        return self._terms
+        """The terms in (p, nu) order; coefficients are read-only views."""
+        return tuple(map(FourierTerm, self._coeffs, self._nus.tolist(), self._ps.tolist()))
 
     def _require_same_dim(self, other):
         if self.dim != other.dim:
@@ -126,19 +139,19 @@ class FourierOperator:
         if not isinstance(other, FourierOperator):
             return NotImplemented
         self._require_same_dim(other)
-        return FourierOperator(self.dim, list(self._terms) + list(other._terms))
+        return _concat(self.dim, (self._coeffs, self._nus, self._ps),
+                       (other._coeffs, other._nus, other._ps))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return FourierOperator(self.dim, [(-c, nu, p) for c, nu, p in self._terms])
+        return _operator(self.dim, -self._coeffs, self._nus, self._ps)
 
     def __mul__(self, scalar):
         if isinstance(scalar, FourierOperator):
             return NotImplemented
-        s = complex(scalar)
-        return FourierOperator(self.dim, [(s * c, nu, p) for c, nu, p in self._terms])
+        return _operator(self.dim, complex(scalar) * self._coeffs, self._nus, self._ps)
 
     __rmul__ = __mul__
 
@@ -147,31 +160,21 @@ class FourierOperator:
         if not isinstance(other, FourierOperator):
             return NotImplemented
         self._require_same_dim(other)
-        terms = [
-            (a @ b, na + nb, pa + pb)
-            for a, na, pa in self._terms
-            for b, nb, pb in other._terms
-        ]
-        return FourierOperator(self.dim, terms)
+        return _pairs(self, other, self._coeffs[:, None] @ other._coeffs[None, :], self.dim)
 
     def dagger(self):
-        return FourierOperator(
-            self.dim, [(c.conj().T, -nu, p) for c, nu, p in self._terms]
-        )
+        return _operator(self.dim, self._coeffs.conj().transpose(0, 2, 1), -self._nus, self._ps)
 
     def differentiate(self):
-        terms = []
-        for c, nu, p in self._terms:
-            if nu != 0.0:
-                terms.append((1j * nu * c, nu, p))
-            if p > 0:
-                terms.append((p * c, nu, p - 1))
-        return FourierOperator(self.dim, terms)
+        c, nus, ps = self._coeffs, self._nus, self._ps
+        osc, poly = nus != 0.0, ps > 0
+        return _concat(self.dim, (1j * nus[osc, None, None] * c[osc], nus[osc], ps[osc]),
+                       (ps[poly, None, None] * c[poly], nus[poly], ps[poly] - 1))
 
     def antiderivative(self):
         """Term-by-term antiderivative (integration constant zero)."""
         terms = []
-        for c, nu, p in self._terms:
+        for c, nu, p in self.terms:
             if nu == 0.0:
                 terms.append((c / (p + 1), 0.0, p + 1))
             else:
@@ -194,7 +197,7 @@ class FourierOperator:
         return float(np.abs(self._coeffs).max(initial=0.0))
 
     def __repr__(self):
-        ts = ", ".join(f"(nu={nu:g}, p={p})" for _, nu, p in self._terms)
+        ts = ", ".join(f"(nu={nu:g}, p={p})" for nu, p in zip(self._nus, self._ps))
         return f"FourierOperator(dim={self.dim}, terms=[{ts}])"
 
 
@@ -206,7 +209,8 @@ def lowpass_average(f: FourierOperator, cutoff: float) -> FourierOperator:
     """
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
-    return FourierOperator(f.dim, [t for t in f.terms if abs(t.nu) < cutoff])
+    keep = np.abs(f._nus) < cutoff
+    return _operator(f.dim, f._coeffs[keep], f._nus[keep], f._ps[keep])
 
 
 def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:
@@ -215,13 +219,9 @@ def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:
     Every pair of terms is lifted with :func:`~avgdyn.linalg.superop`, left
     terms outermost; frequencies and powers add.
     """
-    if left.dim != right.dim:
-        raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
-    coeffs = superop(left._coeffs[:, None], right._coeffs[None, :])
-    nus = left._nus[:, None] + right._nus[None, :]
-    ps = left._ps[:, None] + right._ps[None, :]
-    dim = left.dim * left.dim
-    return FourierOperator(dim, zip(coeffs.reshape(-1, dim, dim), nus.ravel(), ps.ravel()))
+    left._require_same_dim(right)
+    return _pairs(left, right, superop(left._coeffs[:, None], right._coeffs[None, :]),
+                  left.dim * left.dim)
 
 
 def commutator(h: FourierOperator) -> FourierOperator:

@@ -205,6 +205,21 @@ class TestCompare:
         assert main(["compare", str(path), str(path), "--cutoff", "0.5"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("cutoff", ["0", "-1", "nan"])
+    def test_bad_cutoff_rejected_before_reading(self, tmp_path, capsys, cutoff):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["compare", missing, missing, "--cutoff", cutoff]) == 1
+        assert capsys.readouterr().err == "error: --cutoff must be positive\n"
+
+    def test_unknown_column_message_unquoted(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        rows = [f"{0.1 * k:g},0.5" for k in range(100)]
+        path.write_text("\n".join(["t,rho12_re"] + rows) + "\n", encoding="utf-8")
+        assert main(["compare", str(path), str(path), "--cutoff", "0.5",
+                     "--column", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            "error: no column 'nope'; have ('t', 'rho12_re')\n")
+
     def test_grid_mismatch_is_runtime_error(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", str(small_config), "--out", str(out)])
@@ -225,6 +240,17 @@ class TestDerive:
 
     def test_order_out_of_range(self, small_config, capsys):
         assert main(["derive", "--order", "5", str(small_config)]) == 1
+
+    def test_overflowing_series_is_validation_error(self, tmp_path, capsys):
+        # the closed-form generator is finite, the order-3 products are not;
+        # numpy warnings would fail the test (filterwarnings = error)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(
+            {"kind": "ac_stark", "b": 1e150, "t_max": 2, "dt": 0.01}
+        ), encoding="utf-8")
+        assert main(["derive", "--order", "3", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: drive operators too large: the generator series overflows\n")
 
 
 class TestEntryPoint:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from avgdyn.fourier import FourierOperator, commutator, lowpass_average, sandwich
 from avgdyn.linalg import superop, unvectorize, vectorize
-from util import random_complex, random_harmonic
+from util import merge_terms, random_complex, random_harmonic
 
 
 def single(coeff, nu, p=0):
@@ -61,6 +63,32 @@ class TestTermAlgebra:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             single(np.eye(2), 0.0) + single(np.eye(3), 0.0)
+
+
+# Entries that cancel exactly, include signed zeros, and round differently
+# when summed in another order; frequencies with duplicates, values that snap
+# to 0 (one exactly at the tolerance), and a run 1.0, 1.0 + 0.6e-12,
+# 1.0 + 1.2e-12 whose neighbours sit within the tolerance but whose ends do not.
+ENTRIES = st.sampled_from([0j, complex(-0.0, -0.0), complex(0.0, -0.0), 1 + 0j, -1 + 0j,
+                           0.1 + 0.2j, -0.1 - 0.2j, 0.2 - 0.3j, 0.3 + 0.1j, 1e3 - 1e-3j])
+COEFFS = st.lists(ENTRIES, min_size=4, max_size=4)
+NUS = st.sampled_from([0.0, -0.0, 4e-13, -1e-12, 1.0, 1.0 + 0.6e-12, 1.0 + 1.2e-12,
+                       -2.5, -2.5 + 2e-12])
+TERMS = st.lists(st.tuples(COEFFS.map(lambda c: np.reshape(c, (2, 2))), NUS,
+                           st.integers(0, 2)), max_size=10)
+
+
+def as_bytes(terms):
+    return [(np.ascontiguousarray(c).tobytes(), np.float64(nu).tobytes(), p)
+            for c, nu, p in terms]
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(first=TERMS, second=TERMS)
+def test_merge_matches_per_term_reference(first, second):
+    f, g = FourierOperator(2, first), FourierOperator(2, second)
+    assert as_bytes(f.terms) == as_bytes(merge_terms(first))
+    assert as_bytes((f + g).terms) == as_bytes(merge_terms(f.terms + g.terms))
 
 
 class TestCalculus:

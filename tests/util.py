@@ -1,7 +1,8 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and per-term references for the test suite."""
 
 import numpy as np
 
+from avgdyn.fourier import FREQUENCY_MERGE_TOL
 from avgdyn.harmonic import HarmonicHamiltonian
 
 
@@ -31,3 +32,24 @@ def random_harmonic(rng, d, n_freq, *, base=1.0, spread=0.2, strength=0.1,
         terms.append((random_complex(rng, d, strength), w))
         w = w + spread * (0.1 + 0.9 * rng.random())
     return HarmonicHamiltonian(h0, tuple(terms))
+
+
+def merge_terms(terms):
+    """Per-term reference for how a FourierOperator combines its terms: snap
+    |nu| <= FREQUENCY_MERGE_TOL to 0.0, sort stably by (p, nu), start a group
+    when p changes or nu exceeds the previous term's by more than the
+    tolerance, sum each group in order under its first nu, and drop groups
+    that sum to exact zero."""
+    entries = sorted(
+        ((int(p), 0.0 if abs(nu) <= FREQUENCY_MERGE_TOL else float(nu), np.asarray(c, complex))
+         for c, nu, p in terms),
+        key=lambda e: e[:2],
+    )
+    groups, prev = [], None
+    for p, nu, c in entries:
+        if prev is not None and p == prev[0] and nu - prev[1] <= FREQUENCY_MERGE_TOL:
+            groups[-1][0] += c
+        else:
+            groups.append([c.copy(), nu, p])
+        prev = (p, nu)
+    return [(c, nu, p) for c, nu, p in groups if np.any(c != 0)]
