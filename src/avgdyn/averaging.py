@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierOperator, lowpass_average, sandwich
+from .fourier import FourierOperator, fourier_sum, lowpass_average, sandwich
 from .harmonic import HarmonicHamiltonian
 from .linalg import unvectorize, vectorize
 
@@ -90,31 +90,22 @@ def forward_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeries
     at ``cutoff`` applied to the full Fourier expansion of each sandwich.
     Order 0 is the identity map.
     """
-    us = [FourierOperator.identity(hamiltonian.dim)]
-    us.extend(dyson_terms(hamiltonian, t0, order))
+    us = [FourierOperator.identity(hamiltonian.dim), *dyson_terms(hamiltonian, t0, order)]
     uds = [u.dagger() for u in us]
-    maps = []
-    for k in range(order + 1):
-        acc = FourierOperator.zero(hamiltonian.dim ** 2)
-        for j in range(k + 1):
-            acc = acc + lowpass_average(sandwich(us[k - j], uds[j]), cutoff)
-        maps.append(acc)
-    return SuperoperatorSeries(hamiltonian.dim, tuple(maps))
+    maps = tuple(fourier_sum(lowpass_average(sandwich(us[k - j], uds[j]), cutoff)
+                             for j in range(k + 1)) for k in range(order + 1))
+    return SuperoperatorSeries(hamiltonian.dim, maps)
 
 
 def inverse_series(forward: SuperoperatorSeries) -> SuperoperatorSeries:
     """Series inverse of the forward maps: composed order by order they
     give the identity at order 0 and zero at every higher order."""
-    d2 = forward.dim ** 2
-    ident = FourierOperator.identity(d2)
+    ident = FourierOperator.identity(forward.dim ** 2)
     if (forward.maps[0] - ident).max_abs() > 1e-12:
         raise ValueError("order-0 forward map must be the identity")
     maps = [ident]
     for n in range(1, forward.order + 1):
-        acc = FourierOperator.zero(d2)
-        for j in range(n):
-            acc = acc + (maps[j] @ forward.maps[n - j])
-        maps.append(-acc)
+        maps.append(-fourier_sum(maps[j] @ forward.maps[n - j] for j in range(n)))
     return SuperoperatorSeries(forward.dim, tuple(maps))
 
 
@@ -128,13 +119,9 @@ def generator_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeri
     fwd = forward_series(hamiltonian, cutoff, t0, order)
     inv = inverse_series(fwd)
     rates = [m.differentiate() for m in fwd.maps]
-    maps = []
-    for k in range(order + 1):
-        acc = FourierOperator.zero(hamiltonian.dim ** 2)
-        for j in range(k + 1):
-            acc = acc + (rates[k - j] @ inv.maps[j])
-        maps.append(1j * acc)
-    return SuperoperatorSeries(hamiltonian.dim, tuple(maps))
+    maps = tuple(1j * fourier_sum(rates[k - j] @ inv.maps[j] for j in range(k + 1))
+                 for k in range(order + 1))
+    return SuperoperatorSeries(hamiltonian.dim, maps)
 
 
 def validity_ratio(hamiltonian: HarmonicHamiltonian) -> float:

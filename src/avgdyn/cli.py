@@ -3,7 +3,7 @@
 Subcommands: run a scenario and emit CSVs plus a JSON report, compare
 two trajectory CSVs, derive the generator matrices of a scenario for
 inspection, or just validate a config.  Exit codes: 0 success, 1
-validation error, 2 runtime/propagation error.
+invalid input (a config or an argument), 2 runtime/propagation error.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import MAX_ORDER, generator_series
-from .harmonic import EffectiveGenerator
 from .scenarios import (
     ScenarioError,
     compare_trajectories,
     emit_csv,
     load_scenario,
     read_csv,
+    read_csv_columns,
     run_scenario,
 )
 
@@ -76,11 +76,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     if not args.cutoff > 0:
-        print("error: --cutoff must be positive", file=sys.stderr)
-        return EXIT_VALIDATION
-    rec_a = read_csv(args.a)
-    rec_b = read_csv(args.b)
-    metrics = compare_trajectories(rec_a, rec_b, args.cutoff, column=args.column)
+        raise ScenarioError(["--cutoff must be positive"])
+    for columns in map(read_csv_columns, (args.a, args.b)):
+        for name in ("t", args.column):
+            if name not in columns:
+                raise ScenarioError([f"no column {name!r}; have {columns}"])
+    metrics = compare_trajectories(read_csv(args.a), read_csv(args.b), args.cutoff,
+                                   column=args.column)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -91,26 +93,21 @@ def _format_matrix(m) -> str:
 
 
 def _cmd_derive(args) -> int:
-    cfg = load_scenario(args.config)
     if not 0 <= args.order <= MAX_ORDER:
-        print(f"error: --order must be between 0 and {MAX_ORDER}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ScenarioError([f"--order must be between 0 and {MAX_ORDER}"])
+    cfg = load_scenario(args.config)
     t0 = cfg.grid.t0
-    generator = EffectiveGenerator(cfg.hamiltonian)
     # drives too large for floats overflow in the series products; reported once, below
     with np.errstate(over="ignore", invalid="ignore"):
-        series = generator_series(
-            cfg.hamiltonian.as_fourier(), cfg.averaging_filter(), t0, args.order
-        )
+        series = generator_series(cfg.hamiltonian.as_fourier(), cfg.averaging_filter(),
+                                  t0, args.order)
     if not np.isfinite([m.max_abs() for m in series.maps]).all():
-        print("error: drive operators too large: the generator series overflows",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ScenarioError(["drive operators too large: the generator series overflows"])
     print(f"# scenario kind: {cfg.kind}")
     print(f"# effective Hamiltonian at t0={t0:g}")
-    print(_format_matrix(generator.effective_hamiltonian(t0)))
+    print(_format_matrix(cfg.generator.effective_hamiltonian(t0)))
     print(f"# decoherence superoperator at t0={t0:g}")
-    print(_format_matrix(generator.decoherence_superop(t0)))
+    print(_format_matrix(cfg.generator.decoherence_superop(t0)))
     for k in range(1, args.order + 1):
         print(f"# order-{k} generator at t0={t0:g} (acts on vec(rho))")
         print(_format_matrix(series.maps[k].evaluate(t0)))
@@ -140,10 +137,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except KeyError as exc:
-        # str() of a KeyError is the repr of its message
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_RUNTIME
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

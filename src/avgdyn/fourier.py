@@ -31,6 +31,7 @@ __all__ = [
     "FREQUENCY_MERGE_TOL",
     "FourierTerm",
     "FourierOperator",
+    "fourier_sum",
     "lowpass_average",
     "sandwich",
     "commutator",
@@ -138,12 +139,14 @@ class FourierOperator:
     def __add__(self, other):
         if not isinstance(other, FourierOperator):
             return NotImplemented
-        self._require_same_dim(other)
-        return _concat(self.dim, (self._coeffs, self._nus, self._ps),
-                       (other._coeffs, other._nus, other._ps))
+        return fourier_sum((self, other))
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, FourierOperator):
+            return NotImplemented
+        self._require_same_dim(other)
+        return _concat(self.dim, (self._coeffs, self._nus, self._ps),
+                       (-other._coeffs, other._nus, other._ps))
 
     def __neg__(self):
         return _operator(self.dim, -self._coeffs, self._nus, self._ps)
@@ -199,6 +202,16 @@ class FourierOperator:
     def __repr__(self):
         ts = ", ".join(f"(nu={nu:g}, p={p})" for nu, p in zip(self._nus, self._ps))
         return f"FourierOperator(dim={self.dim}, terms=[{ts}])"
+
+
+def fourier_sum(operators) -> FourierOperator:
+    """Sum of one or more same-dimension operators.  A sum merges all of its
+    summands' terms at once, so it can differ from a left fold of ``+`` only
+    where frequencies in different summands chain within FREQUENCY_MERGE_TOL."""
+    first, *rest = operators
+    for op in rest:
+        first._require_same_dim(op)
+    return _concat(first.dim, *((op._coeffs, op._nus, op._ps) for op in (first, *rest)))
 
 
 def lowpass_average(f: FourierOperator, cutoff: float) -> FourierOperator:

@@ -33,6 +33,7 @@ __all__ = [
     "scenario_from_dict",
     "build_record",
     "emit_csv",
+    "read_csv_columns",
     "read_csv",
     "run_scenario",
     "compare_trajectories",
@@ -50,7 +51,7 @@ _OUTPUT_GROUPS = ("entries", "bloch", "purity", "min_eig")
 
 
 class ScenarioError(ValueError):
-    """Invalid scenario configuration; carries one message per violation."""
+    """Invalid input: a config or a command-line argument; carries one message per violation."""
 
     def __init__(self, problems):
         self.problems = list(problems)
@@ -112,16 +113,20 @@ def _number(data, key, problems, default=None, required=True, positive=True):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: a harmonic Hamiltonian, a grid, an initial state."""
+    """Validated scenario: a harmonic Hamiltonian's averaged model, a grid, an initial state."""
 
     kind: str
-    hamiltonian: HarmonicHamiltonian
+    generator: EffectiveGenerator
     grid: TimeGrid
     initial: np.ndarray
     cutoff: float | None
     outputs: tuple[str, ...]
     time_scale: float
     params: dict = field(default_factory=dict)
+
+    @property
+    def hamiltonian(self) -> HarmonicHamiltonian:
+        return self.generator.hamiltonian
 
     def averaging_filter(self) -> float:
         """The averaging cutoff: the configured one, else the default."""
@@ -171,8 +176,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if kind == "ac_stark":
         b = _number(data, "b", problems)
         delta = _number(data, "delta", problems, default=1.0, required=False)
-        if delta is None:
-            delta = 1.0
         if b is not None:
             omega_rabi = b * delta
             h = np.zeros((2, 2), dtype=complex)
@@ -214,11 +217,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if h0 is not None:
             drives = (h0, tuple(terms))
 
-    hamiltonian = None
+    hamiltonian = generator = None
     if drives is not None:
         try:
             hamiltonian = HarmonicHamiltonian(*drives)
-            EffectiveGenerator(hamiltonian)  # rejects drives whose products overflow
+            generator = EffectiveGenerator(hamiltonian)  # rejects drives whose products overflow
         except ValueError as exc:
             problems.append(str(exc))
 
@@ -251,7 +254,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ScenarioError(problems)
     cfg = ScenarioConfig(
         kind=kind,
-        hamiltonian=hamiltonian,
+        generator=generator,
         grid=grid,
         initial=initial,
         cutoff=cutoff,
@@ -289,11 +292,9 @@ class TrajectoryRecord:
     data: np.ndarray  # (n_rows, n_cols), float
 
     def column(self, name) -> np.ndarray:
-        try:
-            idx = self.columns.index(name)
-        except ValueError:
-            raise KeyError(f"no column {name!r}; have {self.columns}") from None
-        return self.data[:, idx]
+        if name not in self.columns:
+            raise KeyError(f"no column {name!r}; have {self.columns}")
+        return self.data[:, self.columns.index(name)]
 
     @property
     def times(self) -> np.ndarray:
@@ -339,13 +340,20 @@ def emit_csv(record: TrajectoryRecord, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_csv(path) -> TrajectoryRecord:
-    """Read back a CSV produced by :func:`emit_csv`."""
+def read_csv_columns(path) -> tuple[str, ...]:
+    """Column names of a CSV produced by :func:`emit_csv`, from its header line alone."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
-        if not header:
-            raise ValueError(f"{path}: empty CSV")
-        columns = tuple(header.split(","))
+    if not header:
+        raise ValueError(f"{path}: empty CSV")
+    return tuple(header.split(","))
+
+
+def read_csv(path) -> TrajectoryRecord:
+    """Read back a CSV produced by :func:`emit_csv`."""
+    columns = read_csv_columns(path)
+    with open(path, encoding="utf-8") as f:
+        f.readline()
         start = f.tell()
         while (line := f.readline()) and not line.strip():
             start = f.tell()
@@ -419,8 +427,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     ratio = validity_ratio(cfg.hamiltonian)
     cutoff = cfg.averaging_filter()
     traj_exact = propagate_exact(cfg.hamiltonian, cfg.initial, cfg.grid)
-    generator = EffectiveGenerator(cfg.hamiltonian)
-    traj_eff = propagate_effective(generator, cfg.initial, cfg.grid)
+    traj_eff = propagate_effective(cfg.generator, cfg.initial, cfg.grid)
     rec_exact = build_record(traj_exact, cfg.time_scale, cfg.outputs)
     rec_eff = build_record(traj_eff, cfg.time_scale, cfg.outputs)
 

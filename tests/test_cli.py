@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgdyn.cli import main
+from avgdyn.harmonic import EffectiveGenerator
 from avgdyn.scenarios import KINDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -216,9 +217,21 @@ class TestCompare:
         rows = [f"{0.1 * k:g},0.5" for k in range(100)]
         path.write_text("\n".join(["t,rho12_re"] + rows) + "\n", encoding="utf-8")
         assert main(["compare", str(path), str(path), "--cutoff", "0.5",
-                     "--column", "nope"]) == 2
+                     "--column", "nope"]) == 1
         assert capsys.readouterr().err == (
             "error: no column 'nope'; have ('t', 'rho12_re')\n")
+
+    @pytest.mark.parametrize("header, message", [
+        ("t,rho11_re", "no column 'rho12_re'; have ('t', 'rho11_re')"),
+        ("time,rho12_re", "no column 't'; have ('time', 'rho12_re')"),
+    ], ids=["no_column", "no_time"])
+    def test_headers_checked_before_data(self, tmp_path, capsys, header, message):
+        # rows loadtxt cannot parse: reading any data would exit 2 instead
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("t,rho12_re\nnot,numbers\n", encoding="utf-8")
+        bad.write_text(f"{header}\nnot,numbers\n", encoding="utf-8")
+        assert main(["compare", str(good), str(bad), "--cutoff", "0.5"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_grid_mismatch_is_runtime_error(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -241,6 +254,12 @@ class TestDerive:
     def test_order_out_of_range(self, small_config, capsys):
         assert main(["derive", "--order", "5", str(small_config)]) == 1
 
+    def test_order_checked_before_config(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "ac_stark", "b": -3, "t_max": 1}', encoding="utf-8")
+        assert main(["derive", "--order", "5", str(path)]) == 1
+        assert capsys.readouterr().err == "error: --order must be between 0 and 3\n"
+
     def test_overflowing_series_is_validation_error(self, tmp_path, capsys):
         # the closed-form generator is finite, the order-3 products are not;
         # numpy warnings would fail the test (filterwarnings = error)
@@ -251,6 +270,22 @@ class TestDerive:
         assert main(["derive", "--order", "3", str(cfg)]) == 1
         assert capsys.readouterr() == (
             "", "error: drive operators too large: the generator series overflows\n")
+
+
+@pytest.mark.parametrize("command", ["run", "derive"])
+def test_one_effective_generator_per_command(small_config, tmp_path, monkeypatch, command):
+    built = []
+    init = EffectiveGenerator.__init__
+
+    def counting_init(self, hamiltonian):
+        built.append(hamiltonian)
+        init(self, hamiltonian)
+
+    monkeypatch.setattr(EffectiveGenerator, "__init__", counting_init)
+    argv = {"run": ["run", str(small_config), "--out", str(tmp_path / "out")],
+            "derive": ["derive", str(small_config)]}[command]
+    assert main(argv) == 0
+    assert len(built) == 1
 
 
 class TestEntryPoint:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from avgdyn.fourier import FourierOperator, commutator, lowpass_average, sandwich
+from avgdyn.fourier import FourierOperator, commutator, fourier_sum, lowpass_average, sandwich
 from avgdyn.linalg import superop, unvectorize, vectorize
 from util import merge_terms, random_complex, random_harmonic
 
@@ -89,6 +89,18 @@ def test_merge_matches_per_term_reference(first, second):
     f, g = FourierOperator(2, first), FourierOperator(2, second)
     assert as_bytes(f.terms) == as_bytes(merge_terms(first))
     assert as_bytes((f + g).terms) == as_bytes(merge_terms(f.terms + g.terms))
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(summands=st.lists(TERMS, min_size=1, max_size=4))
+@example(summands=[[(np.eye(2), nu, 0)] for nu in (1.0, 1.0 + 0.6e-12, 1.0 + 1.2e-12)])
+def test_sum_merges_all_summands_at_once(summands):
+    # the example's run chains across summands: one term, where a left fold of + gives two
+    ops = [FourierOperator(2, terms) for terms in summands]
+    expected = merge_terms([term for op in ops for term in op.terms])
+    assert as_bytes(fourier_sum(ops).terms) == as_bytes(expected)
+    negated = tuple((-c, nu, p) for c, nu, p in ops[-1].terms)
+    assert as_bytes((ops[0] - ops[-1]).terms) == as_bytes(merge_terms(ops[0].terms + negated))
 
 
 class TestCalculus:
