@@ -64,16 +64,24 @@ def _merge(coeffs, nus, ps):
     start[1:] = (ps[1:] != ps[:-1]) | (np.diff(nus) > FREQUENCY_MERGE_TOL)
     sums = coeffs[start]
     np.add.at(sums, np.cumsum(start)[~start] - 1, coeffs[~start])
-    keep = np.any(sums != 0, axis=(1, 2))
-    sums = sums[keep]
-    sums.setflags(write=False)
-    return sums, nus[start][keep], ps[start][keep]
+    return _drop_zeros(sums, nus[start], ps[start])
 
 
-def _operator(dim, coeffs, nus, ps):
+def _drop_zeros(coeffs, nus, ps):
+    """The terms whose coefficients are not exactly zero; coefficients read-only."""
+    keep = np.any(coeffs != 0, axis=(1, 2))
+    coeffs = coeffs[keep]
+    coeffs.setflags(write=False)
+    return coeffs, nus[keep], ps[keep]
+
+
+def _operator(dim, coeffs, nus, ps, merge=True):
+    """Operator of the given terms.  ``merge=False`` takes arrays already in
+    merged order and groups (a merged operator's, negated, scaled or masked)
+    and only drops the terms that became exactly zero."""
     op = object.__new__(FourierOperator)
     op.dim = dim
-    op._coeffs, op._nus, op._ps = _merge(coeffs, nus, ps)
+    op._coeffs, op._nus, op._ps = (_merge if merge else _drop_zeros)(coeffs, nus, ps)
     return op
 
 
@@ -115,10 +123,6 @@ class FourierOperator:
         self._coeffs, self._nus, self._ps = _merge(coeffs, nus, ps)
 
     @classmethod
-    def zero(cls, dim):
-        return cls(dim, ())
-
-    @classmethod
     def constant(cls, op):
         op = np.asarray(op, dtype=complex)
         return cls(op.shape[0], [(op, 0.0, 0)])
@@ -149,12 +153,13 @@ class FourierOperator:
                        (-other._coeffs, other._nus, other._ps))
 
     def __neg__(self):
-        return _operator(self.dim, -self._coeffs, self._nus, self._ps)
+        return _operator(self.dim, -self._coeffs, self._nus, self._ps, merge=False)
 
     def __mul__(self, scalar):
         if isinstance(scalar, FourierOperator):
             return NotImplemented
-        return _operator(self.dim, complex(scalar) * self._coeffs, self._nus, self._ps)
+        return _operator(self.dim, complex(scalar) * self._coeffs, self._nus, self._ps,
+                         merge=False)
 
     __rmul__ = __mul__
 
@@ -223,7 +228,7 @@ def lowpass_average(f: FourierOperator, cutoff: float) -> FourierOperator:
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
     keep = np.abs(f._nus) < cutoff
-    return _operator(f.dim, f._coeffs[keep], f._nus[keep], f._ps[keep])
+    return _operator(f.dim, f._coeffs[keep], f._nus[keep], f._ps[keep], merge=False)
 
 
 def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:

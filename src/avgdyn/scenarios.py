@@ -121,7 +121,6 @@ class ScenarioConfig:
     initial: np.ndarray
     cutoff: float | None
     outputs: tuple[str, ...]
-    time_scale: float
     params: dict = field(default_factory=dict)
 
     @property
@@ -172,17 +171,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     params: dict = {}
     drives = None  # (h0, ((h_n, w_n), ...)) once the kind's keys parse
-    time_scale = 1.0
     if kind == "ac_stark":
+        # built in units of delta, so the dynamics depend on b alone and
+        # delta only labels the run
         b = _number(data, "b", problems)
         delta = _number(data, "delta", problems, default=1.0, required=False)
         if b is not None:
             omega_rabi = b * delta
-            h = np.zeros((2, 2), dtype=complex)
-            h[1, 0] = omega_rabi / 2.0
-            drives = (np.zeros((2, 2)), ((h, delta),))
-            params = {"b": b, "delta": delta, "Omega": omega_rabi}
-            time_scale = delta
+            if not math.isfinite(omega_rabi):
+                problems.append(f"b * delta: must be finite, got {omega_rabi}")
+            else:
+                h = np.zeros((2, 2), dtype=complex)
+                h[1, 0] = b / 2.0
+                drives = (np.zeros((2, 2)), ((h, 1.0),))
+                params = {"b": b, "delta": delta, "Omega": omega_rabi}
     elif kind == "raman":
         o1 = _number(data, "Omega1", problems)
         o2 = _number(data, "Omega2", problems)
@@ -228,8 +230,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     grid = None
     if t_max is not None and dt is not None:
         try:
-            # grid values are in reported time units (1/delta for ac_stark)
-            grid = TimeGrid(t0 / time_scale, t_max / time_scale, dt / time_scale)
+            grid = TimeGrid(t0, t_max, dt)
         except ValueError as exc:
             problems.append(f"grid: {exc}")
 
@@ -259,7 +260,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         initial=initial,
         cutoff=cutoff,
         outputs=tuple(outputs),
-        time_scale=time_scale,
         params=params,
     )
     n_samples = grid.n_steps + 1
@@ -301,13 +301,12 @@ class TrajectoryRecord:
         return self.column("t")
 
 
-def build_record(traj: Trajectory, time_scale: float = 1.0,
-                 outputs=_OUTPUT_GROUPS) -> TrajectoryRecord:
+def build_record(traj: Trajectory, outputs=_OUTPUT_GROUPS) -> TrajectoryRecord:
     """Tabulate a trajectory: time, upper-triangle state entries, Bloch
     components (3-level systems), purity, minimum eigenvalue."""
     d = traj.dim
     columns = ["t"]
-    series = [traj.times * time_scale]
+    series = [traj.times]
     if "entries" in outputs:
         for i in range(d):
             columns.append(f"rho{i + 1}{i + 1}_re")
@@ -428,8 +427,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     cutoff = cfg.averaging_filter()
     traj_exact = propagate_exact(cfg.hamiltonian, cfg.initial, cfg.grid)
     traj_eff = propagate_effective(cfg.generator, cfg.initial, cfg.grid)
-    rec_exact = build_record(traj_exact, cfg.time_scale, cfg.outputs)
-    rec_eff = build_record(traj_eff, cfg.time_scale, cfg.outputs)
+    rec_exact = build_record(traj_exact, cfg.outputs)
+    rec_eff = build_record(traj_eff, cfg.outputs)
 
     report = {
         "kind": cfg.kind,
@@ -443,11 +442,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         "min_eigenvalue_effective": float(traj_eff.min_eigenvalues.min()),
     }
     if cfg.compares():
-        # cutoff in reported time units, matching the CSV t column
-        metrics = compare_trajectories(
-            rec_exact, rec_eff, cutoff / cfg.time_scale
-        )
-        report["comparison"] = metrics
+        report["comparison"] = compare_trajectories(rec_exact, rec_eff, cutoff)
     return RunResult(rec_exact, rec_eff, report)
 
 

@@ -119,7 +119,7 @@ def test_criterion_05_series_inversion():
         fwd = a.forward_series(ham.as_fourier(), a.default_filter(ham), 0.0, 3)
         inv = a.inverse_series(fwd)
         for k in range(1, 4):
-            acc = a.FourierOperator.zero(d * d)
+            acc = a.FourierOperator(d * d)
             for j in range(k + 1):
                 acc = acc + (inv.maps[j] @ fwd.maps[k - j])
             for t in rng.uniform(0.0, 10.0, 4):

@@ -45,7 +45,7 @@ class TestDysonTerms:
             assert_allclose(u1.evaluate(t), v1(t) - v1(T0), atol=1e-14)
 
     def test_zero_hamiltonian(self):
-        us = dyson_terms(FourierOperator.zero(3), T0, 3)
+        us = dyson_terms(FourierOperator(3), T0, 3)
         assert all(u.max_abs() == 0.0 for u in us)
 
     def test_orders_against_quadrature(self):
@@ -77,7 +77,7 @@ class TestDysonTerms:
         us = [FourierOperator.identity(3)] + dyson_terms(ham.as_fourier(), T0, 3)
         uds = [u.dagger() for u in us]
         for k in range(1, 4):
-            acc = FourierOperator.zero(3)
+            acc = FourierOperator(3)
             for j in range(k + 1):
                 acc = acc + (uds[j] @ us[k - j])
             for t in (0.4, 1.8, 6.3):
@@ -90,9 +90,9 @@ class TestDysonTerms:
 
     def test_unsupported_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
-            dyson_terms(FourierOperator.zero(2), 0.0, 4)
+            dyson_terms(FourierOperator(2), 0.0, 4)
         with pytest.raises(ValueError, match="order"):
-            dyson_terms(FourierOperator.zero(2), 0.0, -1)
+            dyson_terms(FourierOperator(2), 0.0, -1)
 
 
 class TestForwardSeries:
@@ -163,7 +163,7 @@ class TestInverseSeries:
         fwd = forward_series(ham.as_fourier(), default_filter(ham), T0, 3)
         inv = inverse_series(fwd)
         for k in range(1, 4):
-            acc = FourierOperator.zero(9)
+            acc = FourierOperator(9)
             for j in range(k + 1):
                 acc = acc + (inv.maps[j] @ fwd.maps[k - j])
             for t in (0.3, 1.9, 7.5):

@@ -82,7 +82,7 @@ class TestValidate:
         ('"kind": "ac_stark", "b": 0.3, "initial": [[[0.5, false], 0], [0, 0.5]]',
          "initial: expected a square matrix of numbers or [re, im] pairs"),
         ('"kind": "ac_stark", "b": 1e200, "delta": 1e200',
-         "drive operator 0 entries must be finite"),
+         "b * delta: must be finite, got inf"),
         ('"kind": "ac_stark", "b": 1e300',
          "drive operators too large: the effective generator overflows"),
         ('"kind": "raman", "Omega1": 1e160, "Omega2": 1e160, "omega1": 1, "omega2": 1.02',
@@ -270,6 +270,26 @@ class TestDerive:
         assert main(["derive", "--order", "3", str(cfg)]) == 1
         assert capsys.readouterr() == (
             "", "error: drive operators too large: the generator series overflows\n")
+
+
+def test_delta_only_labels_the_run(tmp_path, capsys):
+    # ac_stark is built in units of delta: the CSVs and the derived matrices
+    # are the same for every delta, and the report differs only in params
+    outputs = []
+    for delta in (1, 2, 0.37):
+        path = tmp_path / f"delta_{delta}.json"
+        path.write_text(json.dumps({"kind": "ac_stark", "b": 0.3, "t_max": 20, "dt": 0.01,
+                                    "t0": 1, "delta": delta}), encoding="utf-8")
+        out = tmp_path / f"out_{delta}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["derive", "--order", "3", str(path)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report.pop("params") == {"b": 0.3, "delta": delta, "Omega": 0.3 * delta}
+        outputs.append(((out / "exact.csv").read_bytes(), (out / "effective.csv").read_bytes(),
+                        capsys.readouterr().out, report))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert "# effective Hamiltonian at t0=1\n" in outputs[0][2]
 
 
 @pytest.mark.parametrize("command", ["run", "derive"])
