@@ -10,12 +10,12 @@ deterministic trajectories suitable for golden-file comparisons.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .fourier import commutator
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian
 from .linalg import POSITIVITY_TOL, require_density, vectorize
 
@@ -29,6 +29,11 @@ TRACE_RENORM_TOL = 1e-12
 # Bytes per chunk stack of generator or increment matrices: bounds the
 # memory of a propagation independently of its length.
 CHUNK_BYTES = 256 * 1024
+# Largest dt * ||L(t)|| a grid may have.  Classical RK4 is stable for
+# eigenvalues of dt * L(t) on the imaginary axis up to |dt * lambda| = 2*sqrt(2),
+# and on the whole closed left half disk up to radius ~2.6; the margin 0.9
+# (about 2.55) keeps that half disk inside the stability region.
+RK4_STEP_LIMIT = 0.9 * 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,10 @@ class Trajectory:
 
     @cached_property
     def min_eigenvalues(self) -> np.ndarray:
-        sym = (self.states + self.states.conj().transpose(0, 2, 1)) / 2.0
+        # symmetrized in place: one states-sized temporary
+        sym = self.states.conj().transpose(0, 2, 1)
+        sym += self.states
+        sym /= 2.0
         return np.linalg.eigvalsh(sym)[:, 0]
 
 
@@ -171,8 +179,7 @@ def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> T
     H(t) is Hermitian by construction of the HarmonicHamiltonian; the trace
     is renormalized (and logged) only if it drifts beyond 1e-12.
     """
-    generator = -1j * commutator(hamiltonian.as_fourier())
-    return _propagate_density(generator.evaluate, hamiltonian.dim, rho0, grid)
+    return _propagate_density(hamiltonian.liouvillian.evaluate, hamiltonian.dim, rho0, grid)
 
 
 def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid) -> Trajectory:

@@ -200,6 +200,14 @@ class FourierOperator:
         weights = np.exp((1j * t) * self._nus) * (t ** self._ps)
         return np.einsum("...k,kij->...ij", weights, self._coeffs)
 
+    def norm_bound(self) -> float:
+        """Sum of the coefficients' spectral norms: an upper bound on the
+        spectral norm of the value at every real t.  Infinite when a term
+        grows with t (p > 0) or a coefficient is not finite."""
+        if (self._ps > 0).any() or not np.isfinite(self._coeffs).all():
+            return np.inf
+        return float(np.linalg.norm(self._coeffs, 2, axis=(1, 2)).sum())
+
     def max_abs(self) -> float:
         """Largest coefficient magnitude over all terms (0 for the zero sum)."""
         return float(np.abs(self._coeffs).max(initial=0.0))
@@ -243,6 +251,11 @@ def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:
 
 
 def commutator(h: FourierOperator) -> FourierOperator:
-    """Superoperator-valued sum of the map rho -> [h(t), rho]."""
-    one = FourierOperator.identity(h.dim)
-    return sandwich(h, one) - sandwich(one, h)
+    """Superoperator-valued sum of the map rho -> [h(t), rho].
+
+    Lifted term by term, so the terms keep h's merged order and groups; a
+    term whose commutator is exactly zero is dropped.
+    """
+    one = np.eye(h.dim, dtype=complex)
+    coeffs = superop(h._coeffs, one) - superop(one, h._coeffs)
+    return _operator(h.dim * h.dim, coeffs, h._nus, h._ps, merge=False)

@@ -81,6 +81,11 @@ class HarmonicHamiltonian:
             parts.append((h.conj().T, +w, 0))
         return FourierOperator(self.dim, parts)
 
+    @cached_property
+    def liouvillian(self) -> FourierOperator:
+        """-i [H(t), .] as a superoperator-valued sum acting on vec(rho); built once."""
+        return -1j * commutator(self.as_fourier())
+
 
 def inverse_frequency_pair(ham: HarmonicHamiltonian, n: int, m: int) -> tuple[float, float]:
     """Half-sum and half-difference of 1/w_n and 1/w_m.
@@ -171,10 +176,12 @@ class EffectiveGenerator:
         return -1j * out
 
     @cached_property
-    def _liouvillian(self) -> FourierOperator:
+    def liouvillian(self) -> FourierOperator:
+        """-i ([H_eff(t), .] + D(t)), the superoperator-valued sum of
+        master_rhs acting on vec(rho); built once."""
         return -1j * (commutator(self._h_eff) + self._deco)
 
     def liouvillian_matrix(self, t) -> np.ndarray:
         """Superoperator matrix of master_rhs at time t (acts on vec(rho));
         a 1-D array of times gives the stack of matrices."""
-        return self._liouvillian.evaluate(t)
+        return self.liouvillian.evaluate(t)

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import validity_ratio
-from .dynamics import TimeGrid, Trajectory, propagate_effective, propagate_exact
+from .dynamics import (RK4_STEP_LIMIT, TimeGrid, Trajectory, propagate_effective,
+                       propagate_exact)
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
 from .linalg import BLOCH_LABELS, bloch_decompose, validate_density
 from .signals import MIN_SAMPLES, dominant_frequency, lowpass_series
@@ -48,6 +49,14 @@ _KIND_KEYS = {
     "custom_harmonic": _COMMON_KEYS | {"h0", "terms"},
 }
 _OUTPUT_GROUPS = ("entries", "bloch", "purity", "min_eig")
+# Values per block of CSV rows formatted and written at once: bounds the
+# memory of writing a record independently of its length.
+CSV_BLOCK_VALUES = 16 * 1024
+# Largest estimate of the arrays a run holds, in bytes (2 GiB).  A run keeps
+# one trajectory's states, their symmetrized copy and the two records, so a
+# grid of n_samples needs n_samples * (2 * 16 * d**2 + 2 * 8 * c) bytes for
+# c CSV columns; larger grids are rejected at validation.
+MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 
 class ScenarioError(ValueError):
@@ -234,6 +243,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         except ValueError as exc:
             problems.append(f"grid: {exc}")
 
+    if grid is not None and generator is not None:
+        # overflowing Liouvillians read as an infinite norm bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = {"exact": hamiltonian.liouvillian.norm_bound(),
+                     "averaged": generator.liouvillian.norm_bound()}
+        name = max(norms, key=norms.get)
+        if not grid.dt * norms[name] <= RK4_STEP_LIMIT:
+            problems.append(f"grid: dt * ||L|| = {grid.dt * norms[name]:.3g} for the {name} "
+                            f"equation exceeds the RK4 stability limit {RK4_STEP_LIMIT:.3g}")
+        need = (grid.n_steps + 1) * _bytes_per_sample(hamiltonian.dim, outputs)
+        if need > MEMORY_BUDGET_BYTES:
+            problems.append(f"grid: {grid.n_steps + 1} samples need {need} bytes of arrays, "
+                            f"over the budget of {MEMORY_BUDGET_BYTES}")
+
     initial = None
     if "initial" in data:
         initial = _matrix_from_json(data["initial"], problems, "initial")
@@ -301,6 +324,14 @@ class TrajectoryRecord:
         return self.column("t")
 
 
+def _bytes_per_sample(d, outputs) -> int:
+    """Bytes a run holds per grid sample: one trajectory's complex states and
+    their symmetrized copy, and the two records' float rows."""
+    columns = (1 + d * d * ("entries" in outputs) + 8 * ("bloch" in outputs and d == 3)
+               + ("purity" in outputs) + ("min_eig" in outputs))
+    return 2 * 16 * d * d + 2 * 8 * columns
+
+
 def build_record(traj: Trajectory, outputs=_OUTPUT_GROUPS) -> TrajectoryRecord:
     """Tabulate a trajectory: time, upper-triangle state entries, Bloch
     components (3-level systems), purity, minimum eigenvalue."""
@@ -332,11 +363,19 @@ def build_record(traj: Trajectory, outputs=_OUTPUT_GROUPS) -> TrajectoryRecord:
 
 
 def emit_csv(record: TrajectoryRecord, path) -> None:
-    """Write a record as CSV, 17 significant digits, LF line endings."""
-    row_format = ",".join(["%.17g"] * len(record.columns))
-    lines = [",".join(record.columns)]
-    lines.extend(row_format % tuple(row.tolist()) for row in record.data)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write a record as CSV, 17 significant digits, LF line endings.
+
+    The rows are formatted and written one block of at most
+    CSV_BLOCK_VALUES values at a time.
+    """
+    n_columns = len(record.columns)
+    rows = max(1, CSV_BLOCK_VALUES // n_columns)
+    row_format = ",".join(["%.17g"] * n_columns) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(record.columns) + "\n")
+        for start in range(0, len(record.data), rows):
+            block = record.data[start:start + rows]
+            f.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_csv_columns(path) -> tuple[str, ...]:
@@ -421,26 +460,28 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     compare them.
 
     The truncation sufficiency condition (validity ratio < 1) is checked
-    up front; a violating scenario still runs, flagged in the report.
+    up front; a violating scenario still runs, flagged in the report.  One
+    trajectory is alive at a time: each is reduced to its report
+    diagnostics and its record before the next one is propagated.
     """
     ratio = validity_ratio(cfg.hamiltonian)
     cutoff = cfg.averaging_filter()
-    traj_exact = propagate_exact(cfg.hamiltonian, cfg.initial, cfg.grid)
-    traj_eff = propagate_effective(cfg.generator, cfg.initial, cfg.grid)
-    rec_exact = build_record(traj_exact, cfg.outputs)
-    rec_eff = build_record(traj_eff, cfg.outputs)
-
     report = {
         "kind": cfg.kind,
         "params": cfg.params,
         "validity_ratio": ratio,
         "validity_ok": bool(ratio < 1.0),
         "cutoff": cutoff if math.isfinite(cutoff) else None,
-        "purity_drift_exact": _purity_drift(traj_exact),
-        "purity_drift_effective": _purity_drift(traj_eff),
-        "min_eigenvalue_exact": float(traj_exact.min_eigenvalues.min()),
-        "min_eigenvalue_effective": float(traj_eff.min_eigenvalues.min()),
     }
+    records = []
+    for label, propagate, model in (("exact", propagate_exact, cfg.hamiltonian),
+                                    ("effective", propagate_effective, cfg.generator)):
+        traj = propagate(model, cfg.initial, cfg.grid)
+        report[f"purity_drift_{label}"] = _purity_drift(traj)
+        report[f"min_eigenvalue_{label}"] = float(traj.min_eigenvalues.min())
+        records.append(build_record(traj, cfg.outputs))
+        del traj
+    rec_exact, rec_eff = records
     if cfg.compares():
         report["comparison"] = compare_trajectories(rec_exact, rec_eff, cutoff)
     return RunResult(rec_exact, rec_eff, report)

@@ -162,15 +162,23 @@ class TestRun:
         ), encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
-    def test_diverging_propagation_is_runtime_error(self, tmp_path, capsys):
-        path = tmp_path / "diverging.json"
+    @pytest.mark.parametrize("b, norm", [(30, "4.5"), (300, "450"), (1e100, "5e+197")],
+                             ids=["30", "300", "1e100"])
+    def test_unstable_grid_is_validation_error(self, tmp_path, capsys, b, norm):
+        # the averaged Liouvillian's norm bound is b**2 / 2: RK4 at dt = 0.01
+        # would diverge, so validate, derive and run all reject the grid, with
+        # one line and no numpy warnings (filterwarnings = error)
+        path = tmp_path / "unstable.json"
         path.write_text(json.dumps(
-            {"kind": "ac_stark", "b": 1e100, "t_max": 2, "dt": 0.01}
+            {"kind": "ac_stark", "b": b, "t_max": 2, "dt": 0.01}
         ), encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: propagation diverged at t=0.01\n"
+        for argv in (["validate", str(path)], ["derive", "--order", "3", str(path)],
+                     ["run", str(path), "--out", str(out)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == (
+                "", f"error: grid: dt * ||L|| = {norm} for the averaged equation "
+                    "exceeds the RK4 stability limit 2.55\n")
         assert not out.exists()
 
     def test_shipped_raman_equal_detuning(self, tmp_path):
@@ -262,10 +270,11 @@ class TestDerive:
 
     def test_overflowing_series_is_validation_error(self, tmp_path, capsys):
         # the closed-form generator is finite, the order-3 products are not;
-        # numpy warnings would fail the test (filterwarnings = error)
+        # numpy warnings would fail the test (filterwarnings = error); the
+        # grid is fine enough for RK4 to be stable
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps(
-            {"kind": "ac_stark", "b": 1e150, "t_max": 2, "dt": 0.01}
+            {"kind": "ac_stark", "b": 1e150, "t_max": 1e-298, "dt": 1e-300}
         ), encoding="utf-8")
         assert main(["derive", "--order", "3", str(cfg)]) == 1
         assert capsys.readouterr() == (

@@ -1,15 +1,21 @@
+import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from avgdyn.dynamics import TimeGrid, propagate_effective, propagate_exact
+from avgdyn.dynamics import TimeGrid, Trajectory, propagate_effective, propagate_exact
 from avgdyn.harmonic import EffectiveGenerator, HarmonicHamiltonian
 from avgdyn.linalg import BLOCH_LABELS, bloch_decompose
 from avgdyn.scenarios import (
+    _OUTPUT_GROUPS,
+    CSV_BLOCK_VALUES,
+    MEMORY_BUDGET_BYTES,
     ScenarioError,
     TrajectoryRecord,
+    _bytes_per_sample,
     build_record,
     compare_trajectories,
     emit_csv,
@@ -18,6 +24,7 @@ from avgdyn.scenarios import (
     run_scenario,
     scenario_from_dict,
 )
+from util import csv_reference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -90,6 +97,43 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="initial"):
             scenario_from_dict({"kind": "custom_harmonic", "h0": [[0.0]],
                                 "terms": [], "t_max": 1, "dt": 0.1})
+
+    def test_rk4_stability_checks_the_exact_equation(self):
+        # a strong, fast drive: the exact Liouvillian's norm bound is
+        # 2 * 10 * sqrt(2) = 28.3, the averaged one's 0.2
+        config = {"kind": "custom_harmonic", "h0": [[0, 0], [0, 0]],
+                  "terms": [{"h": [[0, 0], [10, 0]], "omega": 1000}],
+                  "initial": [[1, 0], [0, 0]], "t_max": 10}
+        scenario_from_dict(dict(config, dt=0.08))
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(dict(config, dt=0.1))
+        assert err.value.problems == ["grid: dt * ||L|| = 2.83 for the exact equation "
+                                      "exceeds the RK4 stability limit 2.55"]
+
+    def test_memory_budget_boundary_at_d3(self):
+        # raman, d = 3, all outputs: 20 CSV columns; per sample the states
+        # and their symmetrized copy (2 * 16 * 9 bytes) and two records
+        # (2 * 8 * 20 bytes)
+        per_sample = 2 * 16 * 9 + 2 * 8 * 20
+        fits = MEMORY_BUDGET_BYTES // per_sample
+        raman = {"kind": "raman", "Omega1": 0.1, "Omega2": 0.1, "omega1": 1.0,
+                 "omega2": 1.02, "dt": 0.5}
+        cfg = scenario_from_dict(dict(raman, t_max=0.5 * (fits - 1)))
+        assert cfg.grid.n_steps + 1 == fits
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(dict(raman, t_max=0.5 * fits))
+        assert err.value.problems == [
+            f"grid: {fits + 1} samples need {(fits + 1) * per_sample} bytes of arrays, "
+            f"over the budget of {MEMORY_BUDGET_BYTES}"]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_memory_estimate_counts_the_record_columns(self, d):
+        traj = Trajectory(np.arange(2.0), np.broadcast_to(np.eye(d, dtype=complex) / d,
+                                                          (2, d, d)))
+        for k in range(len(_OUTPUT_GROUPS) + 1):
+            for outputs in itertools.combinations(_OUTPUT_GROUPS, k):
+                columns = len(build_record(traj, outputs).columns)
+                assert _bytes_per_sample(d, outputs) == 2 * 16 * d * d + 2 * 8 * columns
 
     def test_shipped_configs_are_valid(self):
         for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -200,8 +244,39 @@ class TestCsv:
         record = TrajectoryRecord(("t", "x"), np.column_stack([values, values[::-1]]))
         path = tmp_path / "out.csv"
         emit_csv(record, path)
-        want = ["t,x"] + [",".join(format(v, ".17g") for v in row) for row in record.data]
-        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+        assert path.read_text(encoding="utf-8") == csv_reference(record)
+
+    @pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1"])
+    def test_block_boundaries_match_per_row_reference(self, tmp_path, rows):
+        # three columns: emit_csv writes blocks of B = CSV_BLOCK_VALUES // 3 rows
+        block = CSV_BLOCK_VALUES // 3
+        n = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1}[rows]
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        # special values in the first and the last rows
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 0.1, 1 / 3]
+        flat = data.reshape(-1)
+        k = min(flat.size, len(special))
+        flat[:k] = special[:k]
+        flat[flat.size - k:] = special[:k]
+        record = TrajectoryRecord(("t", "x", "y"), data)
+        path = tmp_path / "out.csv"
+        emit_csv(record, path)
+        assert path.read_bytes() == csv_reference(record).encode("utf-8")
+
+    def test_emit_memory_does_not_grow_with_length(self, tmp_path):
+        # both records span more than one block
+        def peak(n):
+            t = np.arange(n) * 0.01
+            record = TrajectoryRecord(("t", "x"), np.column_stack([t, np.sin(t)]))
+            tracemalloc.start()
+            try:
+                emit_csv(record, tmp_path / "out.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_001) <= peak(20_001) + 256 * 1024
 
     def test_lf_line_endings_and_header(self, tmp_path):
         record = TrajectoryRecord(("t", "x"), np.array([[0.0, 1.0]]))
@@ -219,6 +294,24 @@ class TestCsv:
         emit_csv(a.exact, pa)
         emit_csv(b.exact, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("config", [AC_MINIMAL, "raman.json"], ids=["ac_stark", "raman"])
+def test_run_holds_one_trajectory_and_two_records(config):
+    # peak traced memory of a run against one trajectory's complex states
+    # plus the two float records it returns
+    cfg = (load_scenario(CONFIG_DIR / config) if isinstance(config, str)
+           else scenario_from_dict(config))
+    tracemalloc.start()
+    try:
+        result = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = cfg.hamiltonian.dim
+    states = 16 * d * d * (cfg.grid.n_steps + 1)
+    records = result.exact.data.nbytes + result.effective.data.nbytes
+    assert peak <= 1.5 * (states + records)
 
 
 class TestCompare:

@@ -53,3 +53,12 @@ def merge_terms(terms):
             groups.append([c.copy(), nu, p])
         prev = (p, nu)
     return [(c, nu, p) for c, nu, p in groups if np.any(c != 0)]
+
+
+def csv_reference(record) -> str:
+    """Per-row, per-value reference for the text emit_csv writes: the header,
+    then each row's values formatted one at a time with 17 significant
+    digits, LF line endings."""
+    lines = [",".join(record.columns)]
+    lines += [",".join(format(v, ".17g") for v in row) for row in record.data.tolist()]
+    return "\n".join(lines) + "\n"
