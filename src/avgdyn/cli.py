@@ -77,12 +77,13 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     if not args.cutoff > 0:
         raise ScenarioError(["--cutoff must be positive"])
+    names = ("t", args.column)
     for columns in map(read_csv_columns, (args.a, args.b)):
-        for name in ("t", args.column):
+        for name in names:
             if name not in columns:
                 raise ScenarioError([f"no column {name!r}; have {columns}"])
-    metrics = compare_trajectories(read_csv(args.a), read_csv(args.b), args.cutoff,
-                                   column=args.column)
+    metrics = compare_trajectories(read_csv(args.a, names), read_csv(args.b, names),
+                                   args.cutoff, column=args.column)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
 

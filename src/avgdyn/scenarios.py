@@ -11,8 +11,10 @@ numbers or two-element [re, im] pairs.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -387,22 +389,45 @@ def read_csv_columns(path) -> tuple[str, ...]:
     return tuple(header.split(","))
 
 
-def read_csv(path) -> TrajectoryRecord:
-    """Read back a CSV produced by :func:`emit_csv`."""
+def read_csv(path, names=None) -> TrajectoryRecord:
+    """Read back a CSV produced by :func:`emit_csv`: every column, or only
+    the columns in ``names``, each once and in the file's order.
+
+    One ``np.loadtxt`` pass parses the rows with a structured dtype: a float
+    field for each column read and a zero-width ``"S0"`` field for each
+    other one.  Every row must have the header's number of fields, and the
+    file must end in a line feed, so a file cut short fails; the fields of
+    columns not read are not parsed.  The float fields are packed, so the
+    record's data is a view of the parsed table, bit-exact with the file's
+    17-digit values.
+    """
     columns = read_csv_columns(path)
-    with open(path, encoding="utf-8") as f:
+    if names is not None:
+        for name in names:
+            if name not in columns:
+                raise KeyError(f"no column {name!r}; have {columns}")
+    read = [i for i, name in enumerate(columns) if names is None or name in names]
+    dtype = [(str(i), float if i in read else "S0") for i in range(len(columns))]
+    kept = tuple(columns[i] for i in read)
+    with open(path, "rb") as raw:
+        raw.seek(-1, os.SEEK_END)
+        if raw.read(1) != b"\n":
+            raise ValueError(f"{path}: the last row does not end in a line feed")
+        raw.seek(0)
+        f = io.TextIOWrapper(raw, encoding="utf-8")
         f.readline()
         start = f.tell()
         while (line := f.readline()) and not line.strip():
             start = f.tell()
         if not line:
             # no data rows: loadtxt would warn rather than return them
-            return TrajectoryRecord(columns, np.empty((0, len(columns))))
+            return TrajectoryRecord(kept, np.empty((0, len(kept))))
         f.seek(start)
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    if data.shape[1] != len(columns):
-        raise ValueError(f"{path}: ragged CSV")
-    return TrajectoryRecord(columns, data)
+        try:
+            table = np.loadtxt(f, delimiter=",", dtype=dtype, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return TrajectoryRecord(kept, table.view(np.float64).reshape(len(table), len(kept)))
 
 
 def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,

@@ -3,13 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgdyn.cli import main
 from avgdyn.harmonic import EffectiveGenerator
-from avgdyn.scenarios import KINDS
+from avgdyn.scenarios import KINDS, TrajectoryRecord, emit_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -240,6 +241,72 @@ class TestCompare:
         bad.write_text(f"{header}\nnot,numbers\n", encoding="utf-8")
         assert main(["compare", str(good), str(bad), "--cutoff", "0.5"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @staticmethod
+    def _write_pair(tmp_path):
+        # columns of a d = 2 run; the last field of every row ends in "e-17"
+        n = 100
+        t = 0.1 * np.arange(n)
+        data = np.column_stack([t, np.cos(t), np.sin(t), 0.5 * np.cos(t), 0.5 * np.sin(t),
+                                np.ones(n), np.full(n, -1.25e-17)])
+        record = TrajectoryRecord(("t", "rho11_re", "rho22_re", "rho12_re", "rho12_im",
+                                   "purity", "min_eig"), data)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_csv(record, a)
+        emit_csv(record, b)
+        return a, b
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    @pytest.mark.parametrize("damage", ["fewer_fields", "more_fields", "cut_mid_row",
+                                        "cut_in_last_field"])
+    def test_damaged_csv_is_runtime_error(self, tmp_path, capsys, which, damage):
+        # every one exits 2 when every column is parsed too; a per-column
+        # read (loadtxt usecols) would accept each of them
+        a, b = self._write_pair(tmp_path)
+        bad = {"a": a, "b": b}[which]
+        text = bad.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        if damage == "fewer_fields":
+            lines[50] = lines[50].rsplit(",", 1)[0] + "\n"
+        elif damage == "more_fields":
+            lines[50] = lines[50].rstrip("\n") + ",0\n"
+        elif damage == "cut_mid_row":
+            # inside rho12_im, past the compared rho12_re
+            head = lines[-1].split(",")[:5]
+            lines[-1] = ",".join(head)[:-3]
+        else:
+            assert lines[-1].endswith("e-17\n")
+            lines[-1] = lines[-1][:-len("17\n")]
+        bad.write_text("".join(lines), encoding="utf-8")
+        assert main(["compare", str(a), str(b), "--cutoff", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    def test_non_numeric_compared_field_is_runtime_error(self, tmp_path, capsys):
+        a, b = self._write_pair(tmp_path)
+        lines = b.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[10].split(",")
+        fields[3] = "oops"
+        lines[10] = ",".join(fields)
+        b.write_text("".join(lines), encoding="utf-8")
+        assert main(["compare", str(a), str(b), "--cutoff", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {b}: ") and "oops" in err and err.count("\n") == 1
+
+    def test_fields_of_columns_not_read_are_not_parsed(self, tmp_path, capsys):
+        a, b = self._write_pair(tmp_path)
+        assert main(["compare", str(a), str(b), "--cutoff", "0.5"]) == 0
+        clean = capsys.readouterr().out
+        lines = b.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[10].split(",")
+        fields[1], fields[5] = "oops", ""
+        lines[10] = ",".join(fields)
+        b.write_text("".join(lines), encoding="utf-8")
+        assert main(["compare", str(a), str(b), "--cutoff", "0.5"]) == 0
+        assert capsys.readouterr().out == clean
+        # the same field in the compared column is parsed, and fails
+        assert main(["compare", str(a), str(b), "--cutoff", "0.5",
+                     "--column", "rho11_re"]) == 2
 
     def test_grid_mismatch_is_runtime_error(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"

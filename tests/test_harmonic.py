@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -273,3 +275,32 @@ class TestPurityConservation:
         traj = propagate_effective(gen, rho0, TimeGrid(0.0, 100.0, 0.05 / w))
         purity = traj.purity
         assert np.abs(purity - purity[0]).max() < 1e-9
+
+
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(d=st.integers(2, 4), n_drives=st.integers(1, 3), one_frequency=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), strength=st.floats(0.01, 3.0),
+       t=st.floats(-100.0, 100.0))
+def test_liouvillians_preserve_trace_and_hermiticity(d, n_drives, one_frequency, seed,
+                                                     strength, t):
+    # both Liouvillians annihilate the trace and map Hermitian rho to Hermitian
+    # output; the decoherence is exactly zero when all drives share one frequency
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, n_drives)
+    if one_frequency:
+        w[:] = w[0]
+    ham = HarmonicHamiltonian(random_hermitian(rng, d, strength),
+                              tuple((random_complex(rng, d, strength), wk) for wk in w))
+    gen = EffectiveGenerator(ham)
+    trace = vectorize(np.eye(d))
+    rho = random_hermitian(rng, d)
+    for liouvillian in (ham.liouvillian.evaluate(t), gen.liouvillian_matrix(t)):
+        scale = np.abs(liouvillian).max()
+        assert np.abs(trace @ liouvillian).max() <= 1e-14 * scale
+        out = unvectorize(liouvillian @ vectorize(rho))
+        assert np.abs(out - out.conj().T).max() <= 1e-13 * scale
+    decoherence = gen.decoherence_superop(t)
+    if one_frequency or n_drives == 1:
+        assert not decoherence.any()
+    else:
+        assert decoherence.any()

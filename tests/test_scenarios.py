@@ -278,6 +278,56 @@ class TestCsv:
 
         assert peak(200_001) <= peak(20_001) + 256 * 1024
 
+    @pytest.mark.parametrize("names", [
+        ("t", "x"), ("y", "t"), ("t", "t"), ("y", "y", "x"), ("x",), ("t", "x", "y"),
+    ], ids=["prefix", "reordered", "repeated_t", "repeated_unordered", "one", "all"])
+    def test_named_read_matches_full_read(self, tmp_path, names):
+        values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                  0.1, 1 / 3, -1.7976931348623157e308]
+        rng = np.random.default_rng(5)
+        data = np.column_stack([np.arange(10.0), values, rng.permutation(values)])
+        path = tmp_path / "out.csv"
+        emit_csv(TrajectoryRecord(("t", "x", "y"), data), path)
+        full = read_csv(path)
+        assert full.data.tobytes() == data.tobytes()
+        back = read_csv(path, names)
+        # the columns read keep the file's order, each once
+        assert back.columns == tuple(c for c in ("t", "x", "y") if c in names)
+        for name in names:
+            assert back.column(name).tobytes() == full.column(name).tobytes()
+
+    @pytest.mark.parametrize("names", [None, ("t", "y")], ids=["all", "named"])
+    def test_header_only_reads_no_rows(self, tmp_path, names):
+        path = tmp_path / "out.csv"
+        emit_csv(TrajectoryRecord(("t", "x", "y"), np.empty((0, 3))), path)
+        back = read_csv(path, names)
+        assert back.columns == (("t", "x", "y") if names is None else names)
+        assert back.data.shape == (0, len(back.columns))
+
+    def test_unknown_name_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_csv(TrajectoryRecord(("t", "x"), np.zeros((3, 2))), path)
+        with pytest.raises(KeyError, match="no column 'y'"):
+            read_csv(path, ("t", "y"))
+
+    def test_named_read_memory_is_at_most_half_the_full_read(self, tmp_path):
+        # a 20 001-row d = 2 record: t, rho11_re, rho22_re, rho12_re, rho12_im,
+        # purity, min_eig; compare reads two of its seven columns
+        record = run_scenario(scenario_from_dict(AC_MINIMAL)).exact
+        assert record.data.shape == (20_001, 7)
+        path = tmp_path / "exact.csv"
+        emit_csv(record, path)
+
+        def peak(names):
+            tracemalloc.start()
+            try:
+                read_csv(path, names)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(("t", "rho12_re")) <= 0.5 * peak(None)
+
     def test_lf_line_endings_and_header(self, tmp_path):
         record = TrajectoryRecord(("t", "x"), np.array([[0.0, 1.0]]))
         path = tmp_path / "out.csv"
