@@ -3,7 +3,8 @@
 Subcommands: run a scenario and emit CSVs plus a JSON report, compare
 two trajectory CSVs, derive the generator matrices of a scenario for
 inspection, or just validate a config.  Exit codes: 0 success, 1
-invalid input (a config or an argument), 2 runtime/propagation error.
+invalid input (a config, an argument, or a path that cannot be read or
+written), 2 runtime/propagation error.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
-    result = run_scenario(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
+    result = run_scenario(cfg)
     emit_csv(result.exact, args.out / "exact.csv")
     emit_csv(result.effective, args.out / "effective.csv")
     report_text = json.dumps(result.report, indent=2, sort_keys=True)
@@ -135,7 +136,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:

@@ -44,13 +44,12 @@ __all__ = [
 
 KINDS = ("ac_stark", "raman", "custom_harmonic")
 
-_COMMON_KEYS = {"kind", "t0", "t_max", "dt", "initial", "cutoff", "outputs"}
+_COMMON_KEYS = {"kind", "t0", "t_max", "dt", "initial", "cutoff"}
 _KIND_KEYS = {
     "ac_stark": _COMMON_KEYS | {"b", "delta"},
     "raman": _COMMON_KEYS | {"Omega1", "Omega2", "omega1", "omega2"},
     "custom_harmonic": _COMMON_KEYS | {"h0", "terms"},
 }
-_OUTPUT_GROUPS = ("entries", "bloch", "purity", "min_eig")
 # Values per block of CSV rows formatted and written at once: bounds the
 # memory of writing a record independently of its length.
 CSV_BLOCK_VALUES = 16 * 1024
@@ -131,7 +130,6 @@ class ScenarioConfig:
     grid: TimeGrid
     initial: np.ndarray
     cutoff: float | None
-    outputs: tuple[str, ...]
     params: dict = field(default_factory=dict)
 
     @property
@@ -145,9 +143,9 @@ class ScenarioConfig:
         return default_filter(self.hamiltonian)
 
     def compares(self) -> bool:
-        """Whether a run compares the exact and averaged trajectories."""
-        return (math.isfinite(self.averaging_filter())
-                and "entries" in self.outputs and self.hamiltonian.dim >= 2)
+        """Whether a run compares the exact and averaged trajectories: a
+        finite averaging cutoff and a ``rho12`` coherence (d >= 2)."""
+        return math.isfinite(self.averaging_filter()) and self.hamiltonian.dim >= 2
 
 
 _DEFAULT_INITIALS = {
@@ -160,12 +158,24 @@ _DEFAULT_INITIALS = {
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """Validate a parsed config, reporting every problem found in one ScenarioError."""
     problems: list[str] = []
+    cfg = _check_config(data, problems)
+    if problems:
+        raise ScenarioError(problems)
+    return cfg
+
+
+def _check_config(data, problems) -> ScenarioConfig | None:
+    """Build a config from parsed JSON, appending each violation to
+    ``problems``; the config returned is valid only if none was appended."""
     if not isinstance(data, dict):
-        raise ScenarioError(["config root must be a JSON object"])
+        problems.append("config root must be a JSON object")
+        return None
     kind = data.get("kind")
     if kind not in KINDS:
-        raise ScenarioError([f"kind must be one of {KINDS}, got {kind!r}"])
+        problems.append(f"kind must be one of {KINDS}, got {kind!r}")
+        return None
     unknown = set(data) - _KIND_KEYS[kind]
     for key in sorted(unknown):
         problems.append(f"unknown key '{key}' for kind '{kind}'")
@@ -174,11 +184,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     t_max = _number(data, "t_max", problems)
     dt = _number(data, "dt", problems)
     cutoff = _number(data, "cutoff", problems, required=False)
-
-    outputs = data.get("outputs", list(_OUTPUT_GROUPS))
-    if not isinstance(outputs, list) or not all(o in _OUTPUT_GROUPS for o in outputs):
-        problems.append(f"outputs: must be a list drawn from {_OUTPUT_GROUPS}")
-        outputs = list(_OUTPUT_GROUPS)
 
     params: dict = {}
     drives = None  # (h0, ((h_n, w_n), ...)) once the kind's keys parse
@@ -254,7 +259,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if not grid.dt * norms[name] <= RK4_STEP_LIMIT:
             problems.append(f"grid: dt * ||L|| = {grid.dt * norms[name]:.3g} for the {name} "
                             f"equation exceeds the RK4 stability limit {RK4_STEP_LIMIT:.3g}")
-        need = (grid.n_steps + 1) * _bytes_per_sample(hamiltonian.dim, outputs)
+        need = (grid.n_steps + 1) * _bytes_per_sample(hamiltonian.dim)
         if need > MEMORY_BUDGET_BYTES:
             problems.append(f"grid: {grid.n_steps + 1} samples need {need} bytes of arrays, "
                             f"over the budget of {MEMORY_BUDGET_BYTES}")
@@ -276,35 +281,28 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                 f"Hamiltonian dimension {hamiltonian.dim}"
             )
 
-    if problems:
-        raise ScenarioError(problems)
-    cfg = ScenarioConfig(
-        kind=kind,
-        generator=generator,
-        grid=grid,
-        initial=initial,
-        cutoff=cutoff,
-        outputs=tuple(outputs),
-        params=params,
-    )
+    if grid is None or generator is None:
+        return None
+    cfg = ScenarioConfig(kind=kind, generator=generator, grid=grid, initial=initial,
+                         cutoff=cutoff, params=params)
     n_samples = grid.n_steps + 1
     if cfg.compares() and n_samples < MIN_SAMPLES:
-        raise ScenarioError([f"grid: {n_samples} samples, but comparing the "
-                             f"trajectories needs at least {MIN_SAMPLES}"])
+        problems.append(f"grid: {n_samples} samples, but comparing the "
+                        f"trajectories needs at least {MIN_SAMPLES}")
     return cfg
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a JSON scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
     except ValueError as exc:
-        # an integer literal longer than the interpreter's int-string limit
+        # text that is not UTF-8, or an integer literal longer than the
+        # interpreter's int-string limit
         raise ScenarioError([f"JSON parse error: {exc}"]) from exc
     return scenario_from_dict(data)
 
@@ -326,42 +324,40 @@ class TrajectoryRecord:
         return self.column("t")
 
 
-def _bytes_per_sample(d, outputs) -> int:
+def _upper_triangle(d) -> list[tuple[int, int]]:
+    """The state entries a record holds, in column order: the diagonal, then
+    the off-diagonals above it row by row."""
+    return [(i, i) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def _record_columns(d) -> tuple[str, ...]:
+    """The CSV columns of a d-level run: time, the upper-triangle state
+    entries (real parts, and imaginary parts off the diagonal), the Bloch
+    components when d = 3, purity and minimum eigenvalue."""
+    columns = ["t"]
+    for i, j in _upper_triangle(d):
+        columns += [f"rho{i + 1}{j + 1}_re"] + ([f"rho{i + 1}{j + 1}_im"] if i != j else [])
+    if d == 3:
+        columns += [f"bloch_{label}" for label in BLOCH_LABELS]
+    return tuple(columns + ["purity", "min_eig"])
+
+
+def _bytes_per_sample(d) -> int:
     """Bytes a run holds per grid sample: one trajectory's complex states and
     their symmetrized copy, and the two records' float rows."""
-    columns = (1 + d * d * ("entries" in outputs) + 8 * ("bloch" in outputs and d == 3)
-               + ("purity" in outputs) + ("min_eig" in outputs))
-    return 2 * 16 * d * d + 2 * 8 * columns
+    return 2 * 16 * d * d + 2 * 8 * len(_record_columns(d))
 
 
-def build_record(traj: Trajectory, outputs=_OUTPUT_GROUPS) -> TrajectoryRecord:
-    """Tabulate a trajectory: time, upper-triangle state entries, Bloch
-    components (3-level systems), purity, minimum eigenvalue."""
-    d = traj.dim
-    columns = ["t"]
+def build_record(traj: Trajectory) -> TrajectoryRecord:
+    """Tabulate a trajectory in the columns of :func:`_record_columns`."""
     series = [traj.times]
-    if "entries" in outputs:
-        for i in range(d):
-            columns.append(f"rho{i + 1}{i + 1}_re")
-            series.append(traj.entry(i, i).real)
-        for i in range(d):
-            for j in range(i + 1, d):
-                columns.append(f"rho{i + 1}{j + 1}_re")
-                series.append(traj.entry(i, j).real)
-                columns.append(f"rho{i + 1}{j + 1}_im")
-                series.append(traj.entry(i, j).imag)
-    if "bloch" in outputs and d == 3:
-        coeffs = bloch_decompose(traj.states)
-        for k, label in enumerate(BLOCH_LABELS):
-            columns.append(f"bloch_{label}")
-            series.append(coeffs[:, k])
-    if "purity" in outputs:
-        columns.append("purity")
-        series.append(traj.purity)
-    if "min_eig" in outputs:
-        columns.append("min_eig")
-        series.append(traj.min_eigenvalues)
-    return TrajectoryRecord(tuple(columns), np.column_stack(series))
+    for i, j in _upper_triangle(traj.dim):
+        entry = traj.entry(i, j)
+        series += [entry.real] + ([entry.imag] if i != j else [])
+    if traj.dim == 3:
+        series += list(bloch_decompose(traj.states).T)
+    series += [traj.purity, traj.min_eigenvalues]
+    return TrajectoryRecord(_record_columns(traj.dim), np.column_stack(series))
 
 
 def emit_csv(record: TrajectoryRecord, path) -> None:
@@ -426,19 +422,46 @@ def read_csv(path, names=None) -> TrajectoryRecord:
         try:
             table = np.loadtxt(f, delimiter=",", dtype=dtype, ndmin=1)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {_first_bad_line(path, columns, read) or exc}") from exc
     return TrajectoryRecord(kept, table.view(np.float64).reshape(len(table), len(kept)))
+
+
+def _first_bad_line(path, columns, read) -> str | None:
+    """Why ``np.loadtxt`` rejected a CSV, found by scanning it again: the
+    first line, counted from 1 with the header, that has the wrong number of
+    fields or a field of a column in ``read`` that is not a number.  None
+    when no line is found, so the caller keeps ``loadtxt``'s own message."""
+    with open(path, encoding="utf-8", errors="replace") as f:
+        f.readline()
+        for number, line in enumerate(f, start=2):
+            text = line.split("#", 1)[0]  # loadtxt's comment character
+            if not text.strip():
+                continue
+            fields = text.rstrip("\n").split(",")
+            if len(fields) != len(columns):
+                return f"line {number}: expected {len(columns)} fields, found {len(fields)}"
+            for i in read:
+                try:
+                    float(fields[i])
+                except ValueError:
+                    return f"line {number}: {columns[i]} field {fields[i]!r} is not a number"
+    return None
 
 
 def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,
                          column: str = "rho12_re") -> dict:
     """Frequency/amplitude/deviation metrics for one observable.
 
-    Both series pass through the same ideal low-pass (an in-band averaged
-    trajectory is unchanged by it), which makes the metrics of identical
-    inputs exactly zero.  The filter kernel is non-causal, so one kernel
-    width (2*pi/cutoff) at each end of the window, where the average is
-    not evaluable, is excluded from the metrics.
+    Both series pass through the same ideal low-pass, so the metrics of
+    identical inputs are exactly zero.  The filter zeroes DFT bins of a
+    window that is not periodic: the jump between the window's two ends
+    leaks across it, and an in-band series is not unchanged by it (on
+    ``configs/ac_stark.json`` the averaged ``rho12_re`` moves by 4.7e-2).
+    Because both series are filtered alike, much of that leakage cancels in
+    ``max_deviation``, not in the frequencies and amplitudes.  The filter
+    kernel is non-causal, so one kernel width (2*pi/cutoff) at each end of
+    the window, where the average is not evaluable, is excluded from the
+    metrics.
     """
     ta, tb = a.times, b.times
     if ta.shape != tb.shape or not np.array_equal(ta, tb):
@@ -504,7 +527,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         traj = propagate(model, cfg.initial, cfg.grid)
         report[f"purity_drift_{label}"] = _purity_drift(traj)
         report[f"min_eigenvalue_{label}"] = float(traj.min_eigenvalues.min())
-        records.append(build_record(traj, cfg.outputs))
+        records.append(build_record(traj))
         del traj
     rec_exact, rec_eff = records
     if cfg.compares():

@@ -39,6 +39,22 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
+    def test_non_utf8_config_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "ac_stark", "b": 0.3, "note": "\u00e9"}'.encode("latin-1"))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: JSON parse error: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
+    def test_outputs_key_rejected(self, tmp_path, capsys):
+        # every run writes the one fixed column set of its dimension
+        path = tmp_path / "outputs.json"
+        path.write_text(json.dumps({"kind": "ac_stark", "b": 0.3, "t_max": 20, "dt": 0.01,
+                                    "outputs": ["purity"]}), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: unknown key 'outputs' for kind 'ac_stark'\n"
+
     @pytest.mark.parametrize("t0, message", [
         ([1], "t0: expected a number, got [1]"),
         (float("nan"), "t0: must be a finite number, got nan"),
@@ -257,17 +273,28 @@ class TestCompare:
         return a, b
 
     @pytest.mark.parametrize("which", ["a", "b"])
-    @pytest.mark.parametrize("damage", ["fewer_fields", "more_fields", "cut_mid_row",
-                                        "cut_in_last_field"])
-    def test_damaged_csv_is_runtime_error(self, tmp_path, capsys, which, damage):
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param("fewer_fields", "line 51: expected 7 fields, found 6", id="fewer_fields"),
+        pytest.param("more_fields", "line 51: expected 7 fields, found 8", id="more_fields"),
+        pytest.param("cut_mid_row", "the last row does not end in a line feed",
+                     id="cut_mid_row"),
+        pytest.param("cut_in_last_field", "the last row does not end in a line feed",
+                     id="cut_in_last_field"),
+        pytest.param("fewer_fields_after_blank_lines", "line 54: expected 7 fields, found 6",
+                     id="fewer_fields_after_blank_lines"),
+    ])
+    def test_damaged_csv_is_runtime_error(self, tmp_path, capsys, which, damage, message):
         # every one exits 2 when every column is parsed too; a per-column
-        # read (loadtxt usecols) would accept each of them
+        # read (loadtxt usecols) would accept each of them.  Lines are
+        # counted in the file, from 1 with the header and blank lines
         a, b = self._write_pair(tmp_path)
         bad = {"a": a, "b": b}[which]
         text = bad.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True)
-        if damage == "fewer_fields":
+        if damage.startswith("fewer_fields"):
             lines[50] = lines[50].rsplit(",", 1)[0] + "\n"
+            if damage.endswith("blank_lines"):
+                lines[1:1] = ["\n", "  \n", "\n"]
         elif damage == "more_fields":
             lines[50] = lines[50].rstrip("\n") + ",0\n"
         elif damage == "cut_mid_row":
@@ -279,8 +306,7 @@ class TestCompare:
             lines[-1] = lines[-1][:-len("17\n")]
         bad.write_text("".join(lines), encoding="utf-8")
         assert main(["compare", str(a), str(b), "--cutoff", "0.5"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_non_numeric_compared_field_is_runtime_error(self, tmp_path, capsys):
         a, b = self._write_pair(tmp_path)
@@ -290,8 +316,8 @@ class TestCompare:
         lines[10] = ",".join(fields)
         b.write_text("".join(lines), encoding="utf-8")
         assert main(["compare", str(a), str(b), "--cutoff", "0.5"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {b}: ") and "oops" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"error: {b}: line 11: rho12_re field 'oops' is not a number\n")
 
     def test_fields_of_columns_not_read_are_not_parsed(self, tmp_path, capsys):
         a, b = self._write_pair(tmp_path)
@@ -382,6 +408,23 @@ def test_one_effective_generator_per_command(small_config, tmp_path, monkeypatch
             "derive": ["derive", str(small_config)]}[command]
     assert main(argv) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("command, reason", [
+    ("validate", "Is a directory"), ("compare", "Is a directory"), ("run", "File exists"),
+], ids=["validate_directory", "compare_directory", "run_out_is_a_file"])
+def test_unusable_path_is_one_line_validation_error(small_config, tmp_path, capsys,
+                                                    command, reason):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    argv = {"validate": ["validate", str(tmp_path)],
+            "compare": ["compare", str(tmp_path), str(tmp_path), "--cutoff", "0.5"],
+            "run": ["run", str(small_config), "--out", str(taken)]}[command]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    # run checks its output directory before it propagates
+    assert out == ""
+    assert err.startswith("error: [Errno ") and reason in err and err.count("\n") == 1
 
 
 class TestEntryPoint:

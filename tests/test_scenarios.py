@@ -1,4 +1,3 @@
-import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -6,11 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avgdyn.dynamics import TimeGrid, Trajectory, propagate_effective, propagate_exact
-from avgdyn.harmonic import EffectiveGenerator, HarmonicHamiltonian
+from avgdyn.dynamics import Trajectory, propagate_effective
+from avgdyn.harmonic import EffectiveGenerator
 from avgdyn.linalg import BLOCH_LABELS, bloch_decompose
 from avgdyn.scenarios import (
-    _OUTPUT_GROUPS,
     CSV_BLOCK_VALUES,
     MEMORY_BUDGET_BYTES,
     ScenarioError,
@@ -87,11 +85,28 @@ class TestLoadScenario:
         assert cfg.hamiltonian.terms[0][1] == 2.0
 
     def test_short_grid_allowed_when_nothing_is_compared(self):
-        short = {"kind": "ac_stark", "b": 0.3, "dt": 3.0, "t_max": 40}
+        # d = 1 has no rho12 column; without a drive the default cutoff is
+        # infinite; a driven d = 2 run on the same grid is compared
+        short = {"kind": "custom_harmonic", "dt": 3.0, "t_max": 40}
+        for config in (
+            {"h0": [[0.5]], "terms": [{"h": [[0.1]], "omega": 1.0}], "initial": [[1]]},
+            {"h0": [[0.1, 0], [0, -0.1]], "terms": [], "initial": [[0.5, 0.5], [0.5, 0.5]]},
+        ):
+            cfg = scenario_from_dict(dict(short, **config))
+            assert cfg.grid.n_steps + 1 == 14 and not cfg.compares()
         with pytest.raises(ScenarioError, match="at least 64"):
-            scenario_from_dict(short)
-        cfg = scenario_from_dict(dict(short, outputs=["purity"]))
-        assert not cfg.compares()
+            scenario_from_dict(dict(short, initial=[[1, 0], [0, 0]], h0=[[0, 0], [0, 0]],
+                                    terms=[{"h": [[0, 0], [0.1, 0]], "omega": 1.0}]))
+
+    def test_every_problem_reported_at_once(self):
+        # an invalid initial state does not hide the short grid
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict({"kind": "ac_stark", "b": 0.3, "dt": 3.0, "t_max": 40,
+                                "initial": [[2, 0], [0, 0]]})
+        problems = err.value.problems
+        assert any(p.startswith("initial: trace") for p in problems), problems
+        assert "grid: 14 samples, but comparing the trajectories needs at least 64" in problems
+        assert len(problems) == 2
 
     def test_custom_requires_initial(self):
         with pytest.raises(ScenarioError, match="initial"):
@@ -126,14 +141,24 @@ class TestLoadScenario:
             f"grid: {fits + 1} samples need {(fits + 1) * per_sample} bytes of arrays, "
             f"over the budget of {MEMORY_BUDGET_BYTES}"]
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_memory_estimate_counts_the_record_columns(self, d):
+    @pytest.mark.parametrize("d, header", [
+        (1, "t,rho11_re,purity,min_eig"),
+        (2, "t,rho11_re,rho22_re,rho12_re,rho12_im,purity,min_eig"),
+        (3, "t,rho11_re,rho22_re,rho33_re,rho12_re,rho12_im,rho13_re,rho13_im,rho23_re,"
+            "rho23_im,bloch_x,bloch_y,bloch_z,bloch_w,bloch_xa,bloch_ya,bloch_xb,bloch_yb,"
+            "purity,min_eig"),
+        (4, "t,rho11_re,rho22_re,rho33_re,rho44_re,rho12_re,rho12_im,rho13_re,rho13_im,"
+            "rho14_re,rho14_im,rho23_re,rho23_im,rho24_re,rho24_im,rho34_re,rho34_im,"
+            "purity,min_eig"),
+    ], ids=["1", "2", "3", "4"])
+    def test_memory_estimate_counts_the_record_columns(self, d, header):
+        # one fixed schema per dimension: c = 3 + d**2 columns, + 8 when d = 3
         traj = Trajectory(np.arange(2.0), np.broadcast_to(np.eye(d, dtype=complex) / d,
                                                           (2, d, d)))
-        for k in range(len(_OUTPUT_GROUPS) + 1):
-            for outputs in itertools.combinations(_OUTPUT_GROUPS, k):
-                columns = len(build_record(traj, outputs).columns)
-                assert _bytes_per_sample(d, outputs) == 2 * 16 * d * d + 2 * 8 * columns
+        columns = build_record(traj).columns
+        assert ",".join(columns) == header
+        assert len(columns) == 3 + d * d + 8 * (d == 3)
+        assert _bytes_per_sample(d) == 2 * 16 * d * d + 2 * 8 * len(columns)
 
     def test_shipped_configs_are_valid(self):
         for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -400,11 +425,3 @@ class TestCompare:
         fine = run_scenario(scenario_from_dict(dict(AC_MINIMAL, t_max=120, dt=0.005)))
         metrics_fine = compare_trajectories(fine.exact, fine.effective, cutoff=0.5)
         assert abs(metrics_fine["max_deviation"] - metrics["max_deviation"]) < 1e-4
-
-
-class TestBuildRecord:
-    def test_output_selection(self):
-        rho0 = np.eye(2, dtype=complex) / 2
-        traj = propagate_exact(HarmonicHamiltonian(np.zeros((2, 2))), rho0, TimeGrid(0, 1, 0.5))
-        record = build_record(traj, outputs=("purity",))
-        assert record.columns == ("t", "purity")
