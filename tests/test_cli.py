@@ -422,7 +422,6 @@ def test_unusable_path_is_one_line_validation_error(small_config, tmp_path, caps
             "run": ["run", str(small_config), "--out", str(taken)]}[command]
     assert main(argv) == 1
     out, err = capsys.readouterr()
-    # run checks its output directory before it propagates
     assert out == ""
     assert err.startswith("error: [Errno ") and reason in err and err.count("\n") == 1
 
