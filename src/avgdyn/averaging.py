@@ -74,10 +74,6 @@ class SuperoperatorSeries:
     dim: int
     maps: tuple[FourierOperator, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.maps) - 1
-
     def apply(self, k, rho, t) -> np.ndarray:
         """Apply the order-k map to an operator at time t."""
         return unvectorize(self.maps[k].evaluate(t) @ vectorize(rho))
@@ -104,7 +100,7 @@ def inverse_series(forward: SuperoperatorSeries) -> SuperoperatorSeries:
     if (forward.maps[0] - ident).max_abs() > 1e-12:
         raise ValueError("order-0 forward map must be the identity")
     maps = [ident]
-    for n in range(1, forward.order + 1):
+    for n in range(1, len(forward.maps)):
         maps.append(-fourier_sum(maps[j] @ forward.maps[n - j] for j in range(n)))
     return SuperoperatorSeries(forward.dim, tuple(maps))
 

@@ -25,6 +25,9 @@ __all__ = ["TimeGrid", "Trajectory", "propagate_linear", "propagate_exact",
 logger = logging.getLogger(__name__)
 
 MAX_STEPS = 10_000_000
+# Smallest dt, in units in the last place of the largest |t| on a grid: the
+# times t0 + k * dt then carry each step to a relative rounding of ~1e-6.
+MIN_STEP_ULPS = 2 ** 20
 TRACE_RENORM_TOL = 1e-12
 # Bytes per chunk stack of generator or increment matrices: bounds the
 # memory of a propagation independently of its length.
@@ -51,6 +54,10 @@ class TimeGrid:
             raise ValueError("dt must be positive")
         if (self.t_max - self.t0) / self.dt > MAX_STEPS:
             raise ValueError(f"grid exceeds {MAX_STEPS} steps")
+        t_abs = max(abs(self.t0), abs(self.t_max))
+        if self.dt < (least := MIN_STEP_ULPS * math.ulp(t_abs)):
+            raise ValueError(f"dt {self.dt:g} is lost to rounding at |t| = {t_abs:g}; "
+                             f"it must be at least {least:.3g}")
 
     @property
     def n_steps(self) -> int:

@@ -55,7 +55,9 @@ def _merge(coeffs, nus, ps):
     by (p, nu); a term starts a new group when p changes or nu exceeds the
     previous term's by more than the tolerance.  A group keeps its first nu
     and sums its coefficients in sorted order (``np.add.at``; ``reduceat``
-    does not add in order).  Groups that sum to exact zero are dropped.
+    does not add in order).  Groups that sum to exact zero are dropped.  The
+    result (read-only coefficients) merges to itself bit for bit: its groups
+    start more than the tolerance apart and no nu is -0.0.
     """
     nus = np.where(np.abs(nus) <= FREQUENCY_MERGE_TOL, 0.0, nus)
     order = np.lexsort((nus, ps))
@@ -64,24 +66,17 @@ def _merge(coeffs, nus, ps):
     start[1:] = (ps[1:] != ps[:-1]) | (np.diff(nus) > FREQUENCY_MERGE_TOL)
     sums = coeffs[start]
     np.add.at(sums, np.cumsum(start)[~start] - 1, coeffs[~start])
-    return _drop_zeros(sums, nus[start], ps[start])
+    keep = np.any(sums != 0, axis=(1, 2))
+    sums = sums[keep]
+    sums.setflags(write=False)
+    return sums, nus[start][keep], ps[start][keep]
 
 
-def _drop_zeros(coeffs, nus, ps):
-    """The terms whose coefficients are not exactly zero; coefficients read-only."""
-    keep = np.any(coeffs != 0, axis=(1, 2))
-    coeffs = coeffs[keep]
-    coeffs.setflags(write=False)
-    return coeffs, nus[keep], ps[keep]
-
-
-def _operator(dim, coeffs, nus, ps, merge=True):
-    """Operator of the given terms.  ``merge=False`` takes arrays already in
-    merged order and groups (a merged operator's, negated, scaled or masked)
-    and only drops the terms that became exactly zero."""
+def _operator(dim, coeffs, nus, ps):
+    """Operator of the given terms, merged by :func:`_merge`."""
     op = object.__new__(FourierOperator)
     op.dim = dim
-    op._coeffs, op._nus, op._ps = (_merge if merge else _drop_zeros)(coeffs, nus, ps)
+    op._coeffs, op._nus, op._ps = _merge(coeffs, nus, ps)
     return op
 
 
@@ -148,18 +143,15 @@ class FourierOperator:
     def __sub__(self, other):
         if not isinstance(other, FourierOperator):
             return NotImplemented
-        self._require_same_dim(other)
-        return _concat(self.dim, (self._coeffs, self._nus, self._ps),
-                       (-other._coeffs, other._nus, other._ps))
+        return self + (-other)
 
     def __neg__(self):
-        return _operator(self.dim, -self._coeffs, self._nus, self._ps, merge=False)
+        return _operator(self.dim, -self._coeffs, self._nus, self._ps)
 
     def __mul__(self, scalar):
         if isinstance(scalar, FourierOperator):
             return NotImplemented
-        return _operator(self.dim, complex(scalar) * self._coeffs, self._nus, self._ps,
-                         merge=False)
+        return _operator(self.dim, complex(scalar) * self._coeffs, self._nus, self._ps)
 
     __rmul__ = __mul__
 
@@ -236,7 +228,7 @@ def lowpass_average(f: FourierOperator, cutoff: float) -> FourierOperator:
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
     keep = np.abs(f._nus) < cutoff
-    return _operator(f.dim, f._coeffs[keep], f._nus[keep], f._ps[keep], merge=False)
+    return _operator(f.dim, f._coeffs[keep], f._nus[keep], f._ps[keep])
 
 
 def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:
@@ -253,9 +245,9 @@ def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:
 def commutator(h: FourierOperator) -> FourierOperator:
     """Superoperator-valued sum of the map rho -> [h(t), rho].
 
-    Lifted term by term, so the terms keep h's merged order and groups; a
-    term whose commutator is exactly zero is dropped.
+    Lifted term by term and merged like every other result, so a term whose
+    commutator is exactly zero is dropped.
     """
     one = np.eye(h.dim, dtype=complex)
     coeffs = superop(h._coeffs, one) - superop(one, h._coeffs)
-    return _operator(h.dim * h.dim, coeffs, h._nus, h._ps, merge=False)
+    return _operator(h.dim * h.dim, coeffs, h._nus, h._ps)

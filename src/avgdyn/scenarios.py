@@ -11,10 +11,10 @@ numbers or two-element [re, im] pairs.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -378,8 +378,11 @@ def emit_csv(record: TrajectoryRecord, path) -> None:
 
 def read_csv_columns(path) -> tuple[str, ...]:
     """Column names of a CSV produced by :func:`emit_csv`, from its header line alone."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
+    with open(path, "rb") as f:
+        try:
+            header = f.readline().decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line 1 is not UTF-8") from None
     if not header:
         raise ValueError(f"{path}: empty CSV")
     return tuple(header.split(","))
@@ -409,35 +412,35 @@ def read_csv(path, names=None) -> TrajectoryRecord:
         raw.seek(-1, os.SEEK_END)
         if raw.read(1) != b"\n":
             raise ValueError(f"{path}: the last row does not end in a line feed")
-        raw.seek(0)
-        f = io.TextIOWrapper(raw, encoding="utf-8")
-        f.readline()
-        start = f.tell()
-        while (line := f.readline()) and not line.strip():
-            start = f.tell()
-        if not line:
-            # no data rows: loadtxt would warn rather than return them
-            return TrajectoryRecord(kept, np.empty((0, len(kept))))
-        f.seek(start)
-        try:
-            table = np.loadtxt(f, delimiter=",", dtype=dtype, ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {_first_bad_line(path, columns, read) or exc}") from exc
+    try:
+        with warnings.catch_warnings():
+            # a file with no data rows reads as an empty record
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=1, skiprows=1,
+                               encoding="utf-8")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {_first_bad_line(path, columns, read) or exc}") from exc
     return TrajectoryRecord(kept, table.view(np.float64).reshape(len(table), len(kept)))
 
 
 def _first_bad_line(path, columns, read) -> str | None:
     """Why ``np.loadtxt`` rejected a CSV, found by scanning it again: the
-    first line, counted from 1 with the header, that has the wrong number of
-    fields or a field of a column in ``read`` that is not a number.  None
-    when no line is found, so the caller keeps ``loadtxt``'s own message."""
-    with open(path, encoding="utf-8", errors="replace") as f:
+    first line, counted from 1 with the header, that is not UTF-8, has the
+    wrong number of fields or has a field of a column in ``read`` that is
+    not a number.  None when no line is found, so the caller keeps
+    ``loadtxt``'s own message."""
+    with open(path, "rb") as f:
         f.readline()
-        for number, line in enumerate(f, start=2):
-            text = line.split("#", 1)[0]  # loadtxt's comment character
-            if not text.strip():
+        for number, raw in enumerate(f, start=2):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return f"line {number} is not UTF-8"
+            # loadtxt skips a line only when nothing precedes its "#" comment
+            text = line.split("#", 1)[0].rstrip("\r\n")
+            if not text:
                 continue
-            fields = text.rstrip("\n").split(",")
+            fields = text.split(",")
             if len(fields) != len(columns):
                 return f"line {number}: expected {len(columns)} fields, found {len(fields)}"
             for i in read:

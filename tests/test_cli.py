@@ -179,6 +179,21 @@ class TestRun:
         ), encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
+    def test_unresolved_time_step_is_validation_error(self, tmp_path, capsys):
+        # at |t| = 1e17 one ulp is 16: t0 + k * dt rounds to t0 for every k,
+        # which a run would find only after propagating 200 000 steps
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(
+            {"kind": "ac_stark", "b": 0.3, "t0": 1e17, "t_max": 1.00000000000002e17, "dt": 0.01}
+        ), encoding="utf-8")
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == (
+                "", "error: grid: dt 0.01 is lost to rounding at |t| = 1e+17; "
+                    "it must be at least 1.68e+07\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("b, norm", [(30, "4.5"), (300, "450"), (1e100, "5e+197")],
                              ids=["30", "300", "1e100"])
     def test_unstable_grid_is_validation_error(self, tmp_path, capsys, b, norm):
@@ -282,11 +297,18 @@ class TestCompare:
                      id="cut_in_last_field"),
         pytest.param("fewer_fields_after_blank_lines", "line 54: expected 7 fields, found 6",
                      id="fewer_fields_after_blank_lines"),
+        pytest.param("whitespace_line", "line 2: expected 7 fields, found 1",
+                     id="whitespace_line"),
+        pytest.param("not_utf8_header", "line 1 is not UTF-8", id="not_utf8_header"),
+        pytest.param("not_utf8_first_row", "line 2 is not UTF-8", id="not_utf8_first_row"),
+        pytest.param("not_utf8_unread_column", "line 51 is not UTF-8",
+                     id="not_utf8_unread_column"),
     ])
     def test_damaged_csv_is_runtime_error(self, tmp_path, capsys, which, damage, message):
         # every one exits 2 when every column is parsed too; a per-column
-        # read (loadtxt usecols) would accept each of them.  Lines are
-        # counted in the file, from 1 with the header and blank lines
+        # read (loadtxt usecols) would accept the field-count and cut-row
+        # ones.  Lines are counted in the file, from 1 with the header and
+        # the lines loadtxt skips, which are empty before any "#" comment
         a, b = self._write_pair(tmp_path)
         bad = {"a": a, "b": b}[which]
         text = bad.read_text(encoding="utf-8")
@@ -294,7 +316,17 @@ class TestCompare:
         if damage.startswith("fewer_fields"):
             lines[50] = lines[50].rsplit(",", 1)[0] + "\n"
             if damage.endswith("blank_lines"):
-                lines[1:1] = ["\n", "  \n", "\n"]
+                lines[1:1] = ["\n", "# comment\n", "\n"]
+        elif damage == "whitespace_line":
+            lines[1:1] = ["  \n"]
+        elif damage.startswith("not_utf8"):
+            # byte 0xff (written through surrogateescape) in the header's
+            # rho12_re, the first row's t, or a later row's unread purity
+            row, field = {"header": (0, 3), "first_row": (1, 0),
+                          "unread_column": (50, 5)}[damage[len("not_utf8_"):]]
+            fields = lines[row].split(",")
+            fields[field] += "\udcff"
+            lines[row] = ",".join(fields)
         elif damage == "more_fields":
             lines[50] = lines[50].rstrip("\n") + ",0\n"
         elif damage == "cut_mid_row":
@@ -304,7 +336,7 @@ class TestCompare:
         else:
             assert lines[-1].endswith("e-17\n")
             lines[-1] = lines[-1][:-len("17\n")]
-        bad.write_text("".join(lines), encoding="utf-8")
+        bad.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
         assert main(["compare", str(a), str(b), "--cutoff", "0.5"]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 

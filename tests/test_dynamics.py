@@ -84,6 +84,8 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="steps"):
             TimeGrid(0.0, 1e9, 1e-2)
+        with pytest.raises(ValueError, match="rounding"):
+            TimeGrid(1e17, 1e17 + 2048, 1e-2)
 
     def test_times_span_grid(self):
         grid = TimeGrid(0.5, 2.5, 0.25)

@@ -84,11 +84,23 @@ def as_bytes(terms):
 
 
 @settings(database=None, derandomize=True, max_examples=200, deadline=None)
-@given(first=TERMS, second=TERMS)
-def test_merge_matches_per_term_reference(first, second):
+@given(first=TERMS, second=TERMS, scalar=st.sampled_from([2.0, -0.3 + 1.7j, 1e-310j]),
+       cutoff=st.sampled_from([1e-12, 1.0, 1.0 + 0.6e-12, 3.0, np.inf]))
+def test_merge_matches_per_term_reference(first, second, scalar, cutoff):
+    # every result is merged once, so a unary map's result is the merge of
+    # its terms mapped one at a time; 1e-310j underflows some products to zero
     f, g = FourierOperator(2, first), FourierOperator(2, second)
     assert as_bytes(f.terms) == as_bytes(merge_terms(first))
     assert as_bytes((f + g).terms) == as_bytes(merge_terms(f.terms + g.terms))
+    assert as_bytes((-f).terms) == as_bytes(merge_terms([(-c, nu, p) for c, nu, p in f.terms]))
+    for s in (scalar, 0):
+        assert as_bytes((s * f).terms) == as_bytes(
+            merge_terms([(complex(s) * c, nu, p) for c, nu, p in f.terms]))
+    assert as_bytes(lowpass_average(f, cutoff).terms) == as_bytes(
+        merge_terms([term for term in f.terms if abs(term.nu) < cutoff]))
+    one = np.eye(2, dtype=complex)
+    assert as_bytes(commutator(f).terms) == as_bytes(
+        merge_terms([(superop(c, one) - superop(one, c), nu, p) for c, nu, p in f.terms]))
 
 
 @settings(database=None, derandomize=True, max_examples=200, deadline=None)
