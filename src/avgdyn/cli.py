@@ -40,10 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="propagate a scenario and write CSVs")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_cmp = sub.add_parser("compare", help="compare two trajectory CSVs")
+    p_cmp.set_defaults(handler=_cmd_compare)
     p_cmp.add_argument("a", type=Path)
     p_cmp.add_argument("b", type=Path)
     p_cmp.add_argument("--cutoff", type=float, required=True,
@@ -51,11 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--column", default="rho12_re")
 
     p_der = sub.add_parser("derive", help="print generator matrices of a scenario")
+    p_der.set_defaults(handler=_cmd_derive)
     p_der.add_argument("config", type=Path)
     p_der.add_argument("--order", type=int, default=2, metavar="K",
                        help=f"series order, at most {MAX_ORDER}")
 
     p_val = sub.add_parser("validate", help="validate a scenario config")
+    p_val.set_defaults(handler=_cmd_validate)
     p_val.add_argument("config", type=Path)
     return parser
 
@@ -124,14 +128,8 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "derive": _cmd_derive,
-        "validate": _cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ScenarioError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -142,7 +140,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

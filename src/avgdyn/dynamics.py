@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian
-from .linalg import POSITIVITY_TOL, require_density, vectorize
+from .linalg import POSITIVITY_TOL, require_density, unvectorize, vectorize
 
 __all__ = ["TimeGrid", "Trajectory", "propagate_linear", "propagate_exact",
            "propagate_effective"]
@@ -170,12 +170,9 @@ def _renormalize_traces(states, grid: TimeGrid) -> None:
 def _propagate_density(generators, dim, rho0, grid: TimeGrid) -> Trajectory:
     """Propagate a dim-level density matrix, column-stacked; renormalize its trace."""
     rho = require_density(rho0)
-    d = rho.shape[0]
-    if dim != d:
-        raise ValueError(f"Hamiltonian dim {dim} != state dim {d}")
-    vecs = propagate_linear(generators, vectorize(rho), grid)
-    # row t of vecs is vec(rho_t), which is rho_t.T in row-major order
-    states = vecs.reshape(-1, d, d).transpose(0, 2, 1)
+    if dim != rho.shape[0]:
+        raise ValueError(f"Hamiltonian dim {dim} != state dim {rho.shape[0]}")
+    states = unvectorize(propagate_linear(generators, vectorize(rho), grid))
     _renormalize_traces(states, grid)
     return Trajectory(grid.times(), states)
 

@@ -172,19 +172,22 @@ class FourierOperator:
                        (ps[poly, None, None] * c[poly], nus[poly], ps[poly] - 1))
 
     def antiderivative(self):
-        """Term-by-term antiderivative (integration constant zero)."""
-        terms = []
-        for c, nu, p in self.terms:
-            if nu == 0.0:
-                terms.append((c / (p + 1), 0.0, p + 1))
-            else:
-                z = 1j * nu
-                coef = 1.0 / z
-                terms.append((c * coef, nu, p))
-                for k in range(1, p + 1):
-                    coef *= -(p - k + 1) / z
-                    terms.append((c * coef, nu, p - k))
-        return FourierOperator(self.dim, terms)
+        """Term-by-term antiderivative (integration constant zero): c t**p
+        gives c t**(p+1)/(p+1), and for nu != 0 c t**p e^(i nu t) gives
+        a_k c t**(p-k) e^(i nu t), k = 0..p, with a_0 = 1/(i nu) and
+        a_k = -a_(k-1) (p-k+1)/(i nu); one :func:`_concat` part per power k."""
+        c, nus, ps = self._coeffs, self._nus, self._ps
+        osc = nus != 0.0
+        parts = [(c[~osc] / (ps[~osc, None, None] + 1), nus[~osc], ps[~osc] + 1)]
+        c, nus, ps = c[osc], nus[osc], ps[osc]
+        coef = 1.0 / (1j * nus)
+        for k in range(ps.max(initial=-1) + 1):
+            parts.append((c * coef[:, None, None], nus, ps - k))
+            live = ps > k
+            c, nus, ps = c[live], nus[live], ps[live]
+            # -(p-k)/(i nu) as i (p-k)/nu: numpy's complex quotient is not correctly rounded
+            coef = coef[live] * (1j * ((ps - k) / nus))
+        return _concat(self.dim, *parts)
 
     def evaluate(self, t) -> np.ndarray:
         """Value at time t, or the (len(t), dim, dim) stack at a 1-D array of times."""

@@ -42,12 +42,13 @@ def vectorize(a):
 
 
 def unvectorize(v):
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return v.reshape((d, d), order="F")
+    """Inverse of :func:`vectorize`: the d x d operator of a length d**2
+    vector, or the (..., d, d) stack of a (..., d**2) stack of vectors."""
+    v = np.asarray(v, dtype=complex)
+    d = int(round(np.sqrt(v.shape[-1])))
+    if d * d != v.shape[-1]:
+        raise ValueError(f"vector length {v.shape[-1]} is not a perfect square")
+    return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
 def superop(left, right):
@@ -87,11 +88,9 @@ def validate_density(m) -> list[str]:
 
 def require_density(m):
     """Return ``m`` as a complex array, raising if it is not a density matrix."""
-    m = _as_square(m, "density matrix")
-    failures = validate_density(m)
-    if failures:
+    if failures := validate_density(m):
         raise ValueError("not a density matrix: " + "; ".join(failures))
-    return m
+    return np.asarray(m, dtype=complex)
 
 
 def _ketbra(i, j):

@@ -42,14 +42,13 @@ __all__ = [
     "compare_trajectories",
 ]
 
-KINDS = ("ac_stark", "raman", "custom_harmonic")
-
 _COMMON_KEYS = {"kind", "t0", "t_max", "dt", "initial", "cutoff"}
 _KIND_KEYS = {
     "ac_stark": _COMMON_KEYS | {"b", "delta"},
     "raman": _COMMON_KEYS | {"Omega1", "Omega2", "omega1", "omega2"},
     "custom_harmonic": _COMMON_KEYS | {"h0", "terms"},
 }
+KINDS = tuple(_KIND_KEYS)
 # Values per block of CSV rows formatted and written at once: bounds the
 # memory of writing a record independently of its length.
 CSV_BLOCK_VALUES = 16 * 1024
@@ -102,16 +101,17 @@ def _matrix_from_json(value, problems, key):
     return m
 
 
-def _number(data, key, problems, default=None, required=True, positive=True):
+def _number(data, key, problems, default=None, required=True, positive=True, prefix=""):
     if key not in data:
         if required:
             problems.append(f"missing required key '{key}'")
         return default
-    if not _is_number(data[key]):
-        problems.append(f"{key}: expected a number, got {data[key]!r}")
+    value, key = data[key], prefix + key
+    if not _is_number(value):
+        problems.append(f"{key}: expected a number, got {value!r}")
         return default
     try:
-        v = float(data[key])
+        v = float(value)
     except OverflowError:
         problems.append(f"{key}: integer too large for a float")
         return default
@@ -229,7 +229,7 @@ def _check_config(data, problems) -> ScenarioConfig | None:
                 problems.append(f"terms[{i}]: expected an object with keys 'h', 'omega'")
                 continue
             h = _matrix_from_json(entry["h"], problems, f"terms[{i}].h")
-            w = _number(entry, "omega", problems)
+            w = _number(entry, "omega", problems, prefix=f"terms[{i}].")
             if h is not None and w is not None:
                 terms.append((h, w))
         if h0 is not None:
@@ -419,35 +419,41 @@ def read_csv(path, names=None) -> TrajectoryRecord:
             table = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=1, skiprows=1,
                                encoding="utf-8")
     except ValueError as exc:
-        raise ValueError(f"{path}: {_first_bad_line(path, columns, read) or exc}") from exc
+        raise ValueError(f"{path}: {_first_bad_line(path, columns, dtype, read) or exc}") from exc
     return TrajectoryRecord(kept, table.view(np.float64).reshape(len(table), len(kept)))
 
 
-def _first_bad_line(path, columns, read) -> str | None:
-    """Why ``np.loadtxt`` rejected a CSV, found by scanning it again: the
-    first line, counted from 1 with the header, that is not UTF-8, has the
-    wrong number of fields or has a field of a column in ``read`` that is
-    not a number.  None when no line is found, so the caller keeps
-    ``loadtxt``'s own message."""
+def _first_bad_line(path, columns, dtype, read) -> str | None:
+    """Why ``np.loadtxt`` rejected a CSV read with ``dtype``: the line where
+    numpy's reader stopped, counted from 1 with the header, is not UTF-8, has
+    the wrong number of fields, or has a field of a column in ``read`` that
+    ``np.loadtxt`` rejects.  A rescan feeds numpy a generator of the lines,
+    which it pulls one at a time, so that line is the last one handed over.
+    None when nothing is found, so the caller keeps loadtxt's own message."""
+    def lines(f):
+        nonlocal number, raw
+        for number, raw in enumerate(f, start=1):
+            yield raw.decode("utf-8")
+
+    number, raw = 1, b""
     with open(path, "rb") as f:
-        f.readline()
-        for number, raw in enumerate(f, start=2):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return f"line {number} is not UTF-8"
-            # loadtxt skips a line only when nothing precedes its "#" comment
-            text = line.split("#", 1)[0].rstrip("\r\n")
-            if not text:
-                continue
-            fields = text.split(",")
-            if len(fields) != len(columns):
-                return f"line {number}: expected {len(columns)} fields, found {len(fields)}"
-            for i in read:
-                try:
-                    float(fields[i])
-                except ValueError:
-                    return f"line {number}: {columns[i]} field {fields[i]!r} is not a number"
+        try:
+            np.loadtxt(lines(f), delimiter=",", dtype=dtype, ndmin=1, skiprows=1)
+            return None
+        except ValueError:
+            pass
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return f"line {number} is not UTF-8"
+    fields = np.loadtxt([line], delimiter=",", dtype=str, ndmin=1)
+    if len(fields) != len(columns):
+        return f"line {number}: expected {len(columns)} fields, found {len(fields)}"
+    for i in read:
+        try:
+            np.loadtxt([line], delimiter=",", usecols=i)
+        except ValueError:
+            return f"line {number}: {columns[i]} field {str(fields[i])!r} is not a number"
     return None
 
 
@@ -467,7 +473,7 @@ def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,
     metrics.
     """
     ta, tb = a.times, b.times
-    if ta.shape != tb.shape or not np.array_equal(ta, tb):
+    if not np.array_equal(ta, tb):
         raise ValueError("trajectories are on different grids")
     if ta.size < MIN_SAMPLES:
         raise ValueError(f"trajectories have {ta.size} samples, comparing them "

@@ -88,6 +88,11 @@ class TestDysonTerms:
         with pytest.raises(ValueError, match="trigonometric"):
             dyson_terms(f, 0.0, 1)
 
+    @pytest.mark.parametrize("order", [1.0, True, "1"])
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(ValueError, match=f"order must be an integer, got {order!r}"):
+            dyson_terms(FourierOperator(2), 0.0, order)
+
     def test_unsupported_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
             dyson_terms(FourierOperator(2), 0.0, 4)

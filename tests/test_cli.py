@@ -47,6 +47,12 @@ class TestValidate:
         assert err.startswith("error: JSON parse error: 'utf-8' codec can't decode byte 0xe9")
         assert err.count("\n") == 1
 
+    def test_non_object_root_rejected(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: config root must be a JSON object\n"
+
     def test_outputs_key_rejected(self, tmp_path, capsys):
         # every run writes the one fixed column set of its dimension
         path = tmp_path / "outputs.json"
@@ -104,10 +110,20 @@ class TestValidate:
          "drive operators too large: the effective generator overflows"),
         ('"kind": "raman", "Omega1": 1e160, "Omega2": 1e160, "omega1": 1, "omega2": 1.02',
          "drive operators too large: the effective generator overflows"),
+        ('"kind": "custom_harmonic", "h0": [[0, 0], [0, 0]], '
+         '"terms": [{"h": [[0, 0], [0.1, 0]], "omega": 1.0}, '
+         '{"h": [[0, 0], [0.1, 0]], "omega": -2}], "initial": [[1, 0], [0, 0]]',
+         "terms[1].omega: must be a positive finite number, got -2.0"),
+        ('"kind": "custom_harmonic", "h0": [[0, 0], [0, 0]], "terms": [1], '
+         '"initial": [[1, 0], [0, 0]]',
+         "terms[0]: expected an object with keys 'h', 'omega'"),
+        ('"kind": "ac_stark", "b": 0.3, "initial": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]',
+         "initial: dimension 3 does not match Hamiltonian dimension 2"),
     ], ids=["nan_h0", "inf_term", "nan_initial", "long_int_number", "long_int_entry",
             "over_digit_limit", "bool_number", "string_number", "string_nan",
             "string_entries", "string_matrix", "bool_pair", "overflowing_drive",
-            "overflowing_generator", "overflowing_raman_generator"])
+            "overflowing_generator", "overflowing_raman_generator", "negative_term_omega",
+            "term_not_an_object", "initial_dimension_mismatch"])
     def test_malformed_numbers(self, tmp_path, capsys, keys, message):
         # NaN, Infinity and integers of any length are valid Python JSON; only
         # numbers count as numbers, and a drive whose operator overflows is
@@ -167,6 +183,16 @@ class TestRun:
         assert report["validity_ok"] is True
         printed = json.loads(capsys.readouterr().out)
         assert printed == report
+
+    def test_out_of_regime_run_warns(self, tmp_path, capsys):
+        # the validity ratio is b / 2 = 1.25: the run completes, flagged
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps({"kind": "ac_stark", "b": 2.5, "t_max": 20, "dt": 0.01}),
+                        encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: validity ratio >= 1, second-order truncation is not justified "
+            "for this scenario\n")
 
     def test_large_entries_run(self, tmp_path):
         # Hermitian, with H(t) entries of 1e7: rounding in H(t) - H(t)^dagger
@@ -303,12 +329,20 @@ class TestCompare:
         pytest.param("not_utf8_first_row", "line 2 is not UTF-8", id="not_utf8_first_row"),
         pytest.param("not_utf8_unread_column", "line 51 is not UTF-8",
                      id="not_utf8_unread_column"),
+        pytest.param("underscore_number", "line 51: rho12_re field '1_0' is not a number",
+                     id="underscore_number"),
+        pytest.param("underscore_then_text", "line 51: rho12_re field '1_0' is not a number",
+                     id="underscore_then_text"),
+        pytest.param("non_ascii_digit", "line 51: rho12_re field '\u0661' is not a number",
+                     id="non_ascii_digit"),
+        pytest.param("empty_file", "empty CSV", id="empty_file"),
     ])
     def test_damaged_csv_is_runtime_error(self, tmp_path, capsys, which, damage, message):
         # every one exits 2 when every column is parsed too; a per-column
         # read (loadtxt usecols) would accept the field-count and cut-row
         # ones.  Lines are counted in the file, from 1 with the header and
-        # the lines loadtxt skips, which are empty before any "#" comment
+        # the lines loadtxt skips, which are empty before any "#" comment.
+        # Python's float() accepts "1_0" and "\u0661"; loadtxt does not
         a, b = self._write_pair(tmp_path)
         bad = {"a": a, "b": b}[which]
         text = bad.read_text(encoding="utf-8")
@@ -327,6 +361,15 @@ class TestCompare:
             fields = lines[row].split(",")
             fields[field] += "\udcff"
             lines[row] = ",".join(fields)
+        elif damage in ("underscore_number", "underscore_then_text", "non_ascii_digit"):
+            values = {"underscore_number": ["1_0"], "underscore_then_text": ["1_0", "oops"],
+                      "non_ascii_digit": ["\u0661"]}[damage]
+            for row, value in enumerate(values, start=50):
+                fields = lines[row].split(",")
+                fields[3] = value
+                lines[row] = ",".join(fields)
+        elif damage == "empty_file":
+            lines = []
         elif damage == "more_fields":
             lines[50] = lines[50].rstrip("\n") + ",0\n"
         elif damage == "cut_mid_row":

@@ -7,7 +7,7 @@ from scipy.integrate import simpson
 
 from avgdyn.fourier import FourierOperator, commutator, fourier_sum, lowpass_average, sandwich
 from avgdyn.linalg import superop, unvectorize, vectorize
-from util import merge_terms, random_complex, random_harmonic
+from util import antiderivative_terms, merge_terms, random_complex, random_harmonic
 
 
 def single(coeff, nu, p=0):
@@ -64,6 +64,21 @@ class TestTermAlgebra:
         with pytest.raises(ValueError, match="mismatch"):
             single(np.eye(2), 0.0) + single(np.eye(3), 0.0)
 
+    @pytest.mark.parametrize("dim, terms, message", [
+        (0, [], "dim must be >= 1"),
+        (2, [(np.eye(3), 1.0, 0)], r"coefficient shape \(3, 3\) does not match dim 2"),
+        (2, [(np.eye(2), 1.0, -1)], "polynomial degree must be non-negative"),
+    ], ids=["zero_dim", "coefficient_shape", "negative_degree"])
+    def test_invalid_terms_rejected(self, dim, terms, message):
+        with pytest.raises(ValueError, match=message):
+            FourierOperator(dim, terms)
+
+    def test_norm_bound(self):
+        f = single(2 * np.eye(2), 1.5) + single(np.diag([0.5, -3.0]), -0.5)
+        assert f.norm_bound() == 5.0
+        # a secular term grows without bound in t
+        assert (f + single(1e-9 * np.eye(2), 1.5, 1)).norm_bound() == np.inf
+
 
 # Entries that cancel exactly, include signed zeros, and round differently
 # when summed in another order; frequencies with duplicates, values that snap
@@ -101,6 +116,17 @@ def test_merge_matches_per_term_reference(first, second, scalar, cutoff):
     one = np.eye(2, dtype=complex)
     assert as_bytes(commutator(f).terms) == as_bytes(
         merge_terms([(superop(c, one) - superop(one, c), nu, p) for c, nu, p in f.terms]))
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(terms=st.lists(st.tuples(COEFFS.map(lambda c: np.reshape(c, (2, 2))), NUS,
+                                st.integers(0, 4)), max_size=10))
+def test_antiderivative_matches_per_term_reference(terms):
+    # degrees up to 4 reach factors (p-k+1)/(i nu) with p-k+1 >= 3, where
+    # numpy's complex quotient rounds differently from Python's
+    f = FourierOperator(2, terms)
+    assert as_bytes(f.antiderivative().terms) == as_bytes(
+        merge_terms(antiderivative_terms(f.terms)))
 
 
 @settings(database=None, derandomize=True, max_examples=200, deadline=None)

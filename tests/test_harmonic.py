@@ -50,6 +50,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shape"):
             HarmonicHamiltonian(np.zeros((2, 2)), ((np.eye(3), 1.0),))
 
+    @pytest.mark.parametrize("h0, drives, message", [
+        (np.zeros((2, 3)), (), r"h0 must be square, got shape \(2, 3\)"),
+        (np.diag([np.nan, 0.0]), (), "h0 entries must be finite"),
+        (np.zeros((2, 2)), ((np.eye(2), 1.0), (np.diag([np.inf, 0.0]), 2.0)),
+         "drive operator 1 entries must be finite"),
+    ], ids=["non_square_h0", "nan_h0", "inf_drive"])
+    def test_invalid_operators_rejected(self, h0, drives, message):
+        with pytest.raises(ValueError, match=message):
+            HarmonicHamiltonian(h0, drives)
+
     def test_as_fourier_roundtrip(self):
         rng = np.random.default_rng(0)
         ham = random_harmonic(rng, 2, 2, strength=0.3)

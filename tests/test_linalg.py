@@ -74,6 +74,16 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="minimum eigenvalue"):
             require_density(np.array([[0.5, 0.6], [0.6, 0.5]]))
 
+    @pytest.mark.parametrize("m, message", [
+        (np.zeros((2, 3)), r"density matrix must be a square matrix, got shape \(2, 3\)"),
+        (np.zeros((2, 2, 2)), r"density matrix must be a square matrix, got shape \(2, 2, 2\)"),
+        (np.diag([np.inf, 0.0]), "density matrix contains non-finite entries"),
+    ], ids=["non_square", "stack", "non_finite"])
+    def test_not_a_square_finite_matrix(self, m, message):
+        for check in (validate_density, require_density):
+            with pytest.raises(ValueError, match=message):
+                check(m)
+
 
 class TestVectorization:
     # column stacking: vec(L rho R) = kron(R.T, L) vec(rho)
@@ -98,6 +108,19 @@ class TestVectorization:
         rng = np.random.default_rng(4)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert_allclose(unvectorize(vectorize(m)), m, atol=0)
+
+    def test_stack_unvectorizes_each_vector(self):
+        rng = np.random.default_rng(5)
+        ms = rng.standard_normal((4, 2, 3, 3)) + 1j * rng.standard_normal((4, 2, 3, 3))
+        vs = np.array([[vectorize(m) for m in row] for row in ms])
+        got = unvectorize(vs)
+        assert got.shape == (4, 2, 3, 3)
+        assert np.array_equal(got, ms)
+
+    def test_non_square_length_rejected(self):
+        for v in (np.ones(5), np.ones((3, 5))):
+            with pytest.raises(ValueError, match="vector length 5 is not a perfect square"):
+                unvectorize(v)
 
 
 class TestGellMann:

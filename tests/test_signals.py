@@ -48,6 +48,10 @@ class TestDominantFrequency:
         with pytest.raises(ValueError, match="samples"):
             dominant_frequency(np.ones(10), 0.1)
 
+    def test_two_dimensional_signal_rejected(self):
+        with pytest.raises(ValueError, match="signal must be one-dimensional"):
+            dominant_frequency(np.ones((64, 2)), 0.1)
+
 
 def bin_frequency(k, n, dt):
     """Frequency of DFT bin k, an integer number of cycles over the window."""

@@ -55,6 +55,24 @@ def merge_terms(terms):
     return [(c, nu, p) for c, nu, p in groups if np.any(c != 0)]
 
 
+def antiderivative_terms(terms):
+    """Per-term reference for FourierOperator.antiderivative, in Python
+    complex arithmetic: c t**p gives c t**(p+1)/(p+1); for nu != 0 each
+    power k = 0..p gets a_k = -a_(k-1) (p-k+1)/(i nu), a_0 = 1/(i nu)."""
+    out = []
+    for c, nu, p in terms:
+        if nu == 0.0:
+            out.append((c / (p + 1), 0.0, p + 1))
+            continue
+        z = 1j * nu
+        coef = 1.0 / z
+        out.append((c * coef, nu, p))
+        for k in range(1, p + 1):
+            coef *= -(p - k + 1) / z
+            out.append((c * coef, nu, p - k))
+    return out
+
+
 def csv_reference(record) -> str:
     """Per-row, per-value reference for the text emit_csv writes: the header,
     then each row's values formatted one at a time with 17 significant
