@@ -64,13 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(obj) -> str:
+    """Strict JSON: a NaN or infinite value raises ValueError (exit 2)."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     args.out.mkdir(parents=True, exist_ok=True)
     result = run_scenario(cfg)
     emit_csv(result.exact, args.out / "exact.csv")
     emit_csv(result.effective, args.out / "effective.csv")
-    report_text = json.dumps(result.report, indent=2, sort_keys=True)
+    report_text = _dumps(result.report)
     (args.out / "report.json").write_text(report_text + "\n", encoding="utf-8")
     print(report_text)
     if not result.report["validity_ok"]:
@@ -82,14 +87,16 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     if not args.cutoff > 0:
         raise ScenarioError(["--cutoff must be positive"])
+    if np.isinf(args.cutoff):
+        raise ScenarioError(["--cutoff must be finite"])
     names = ("t", args.column)
     for columns in map(read_csv_columns, (args.a, args.b)):
         for name in names:
             if name not in columns:
                 raise ScenarioError([f"no column {name!r}; have {columns}"])
-    metrics = compare_trajectories(read_csv(args.a, names), read_csv(args.b, names),
-                                   args.cutoff, column=args.column)
-    print(json.dumps(metrics, indent=2, sort_keys=True))
+    a, b = (read_csv(path, names, finite=True) for path in (args.a, args.b))
+    metrics = compare_trajectories(a, b, args.cutoff, column=args.column)
+    print(_dumps(metrics))
     return EXIT_OK
 
 

@@ -30,7 +30,6 @@ from .linalg import superop, unvectorize, vectorize
 
 __all__ = [
     "HarmonicHamiltonian",
-    "inverse_frequency_pair",
     "default_filter",
     "EffectiveGenerator",
 ]
@@ -48,7 +47,7 @@ class HarmonicHamiltonian:
             raise ValueError(f"h0 must be square, got shape {h0.shape}")
         if not np.all(np.isfinite(h0)):
             raise ValueError("h0 entries must be finite")
-        if np.abs(h0 - h0.conj().T).max() > 1e-12:
+        if 2.0 * float(np.abs(h0 / 2.0 - h0.conj().T / 2.0).max()) > 1e-12:
             raise ValueError("h0 must be Hermitian within 1e-12")
         terms = []
         for k, (h, w) in enumerate(self.terms):
@@ -87,21 +86,6 @@ class HarmonicHamiltonian:
         return -1j * commutator(self.as_fourier())
 
 
-def inverse_frequency_pair(ham: HarmonicHamiltonian, n: int, m: int) -> tuple[float, float]:
-    """Half-sum and half-difference of 1/w_n and 1/w_m.
-
-    The half-difference is exactly 0.0 when the two frequencies agree
-    within FREQUENCY_MERGE_TOL (in particular for n == m), so representation
-    noise cannot fabricate decoherence.
-    """
-    _, wn = ham.terms[n]
-    _, wm = ham.terms[m]
-    half_sum = 0.5 * (1.0 / wn + 1.0 / wm)
-    if abs(wn - wm) <= FREQUENCY_MERGE_TOL:
-        return half_sum, 0.0
-    return half_sum, 0.5 * (1.0 / wn - 1.0 / wm)
-
-
 def default_filter(ham: HarmonicHamiltonian) -> float:
     """Averaging cutoff at half the smallest drive frequency: rejects every
     ±w_n and ±(w_n + w_m), passes the differences w_n - w_m when the drives
@@ -127,9 +111,13 @@ class EffectiveGenerator:
         deco_terms = []
         # drives too large for floats overflow here; reported once, below
         with np.errstate(over="ignore", invalid="ignore"):
-            for n, (hn, wn) in enumerate(hamiltonian.terms):
-                for m, (hm, wm) in enumerate(hamiltonian.terms):
-                    half_sum, half_diff = inverse_frequency_pair(hamiltonian, n, m)
+            for hn, wn in hamiltonian.terms:
+                for hm, wm in hamiltonian.terms:
+                    # 1/w+ and 1/w-, the latter exactly 0.0 within FREQUENCY_MERGE_TOL
+                    # so that representation noise cannot fabricate decoherence
+                    half_sum = 0.5 * (1.0 / wn + 1.0 / wm)
+                    half_diff = (0.0 if abs(wn - wm) <= FREQUENCY_MERGE_TOL
+                                 else 0.5 * (1.0 / wn - 1.0 / wm))
                     hmd = hm.conj().T
                     a, b = hmd @ hn, hn @ hmd
                     # FourierOperator snaps a beat within FREQUENCY_MERGE_TOL to 0

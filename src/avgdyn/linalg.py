@@ -69,13 +69,14 @@ def validate_density(m) -> list[str]:
     """Violations of hermiticity / unit trace / positivity of ``m``, one
     message each; empty when ``m`` is a density matrix.
 
-    Positivity is measured on the Hermitian part ``(m + m†)/2``.
+    Positivity is measured on the Hermitian part ``m/2 + m†/2``: halved
+    first, it and the defect ``2 max|m/2 - m†/2|`` are finite for finite ``m``.
     """
     m = _as_square(m, "density matrix")
-    herm = float(np.abs(m - m.conj().T).max())
+    half, half_dagger = m / 2.0, m.conj().T / 2.0
+    herm = 2.0 * float(np.abs(half - half_dagger).max())
     trace = float(abs(m.trace() - 1.0))
-    sym = (m + m.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    min_eig = float(np.linalg.eigvalsh(half + half_dagger)[0])
     out = []
     if herm > DENSITY_TOL:
         out.append(f"hermiticity violated by {herm:.3e}")

@@ -101,9 +101,10 @@ def _matrix_from_json(value, problems, key):
     return m
 
 
-def _number(data, key, problems, default=None, required=True, positive=True, prefix=""):
+def _number(data, key, problems, default=None, positive=True, prefix=""):
+    """The number at ``data[key]``; a missing key is required unless it has a default."""
     if key not in data:
-        if required:
+        if default is None:
             problems.append(f"missing required key '{key}'")
         return default
     value, key = data[key], prefix + key
@@ -148,15 +149,6 @@ class ScenarioConfig:
         return math.isfinite(self.averaging_filter()) and self.hamiltonian.dim >= 2
 
 
-_DEFAULT_INITIALS = {
-    # equal populations with Re rho_12 = 0.5 (documented default, not forced)
-    "ac_stark": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    "raman": np.array(
-        [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]], dtype=complex
-    ),
-}
-
-
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Validate a parsed config, reporting every problem found in one ScenarioError."""
     problems: list[str] = []
@@ -180,10 +172,10 @@ def _check_config(data, problems) -> ScenarioConfig | None:
     for key in sorted(unknown):
         problems.append(f"unknown key '{key}' for kind '{kind}'")
 
-    t0 = _number(data, "t0", problems, default=0.0, required=False, positive=False)
+    t0 = _number(data, "t0", problems, default=0.0, positive=False)
     t_max = _number(data, "t_max", problems)
     dt = _number(data, "dt", problems)
-    cutoff = _number(data, "cutoff", problems, required=False)
+    cutoff = _number(data, "cutoff", problems) if "cutoff" in data else None
 
     params: dict = {}
     drives = None  # (h0, ((h_n, w_n), ...)) once the kind's keys parse
@@ -191,7 +183,7 @@ def _check_config(data, problems) -> ScenarioConfig | None:
         # built in units of delta, so the dynamics depend on b alone and
         # delta only labels the run
         b = _number(data, "b", problems)
-        delta = _number(data, "delta", problems, default=1.0, required=False)
+        delta = _number(data, "delta", problems, default=1.0)
         if b is not None:
             omega_rabi = b * delta
             if not math.isfinite(omega_rabi):
@@ -267,10 +259,12 @@ def _check_config(data, problems) -> ScenarioConfig | None:
     initial = None
     if "initial" in data:
         initial = _matrix_from_json(data["initial"], problems, "initial")
-    elif kind in _DEFAULT_INITIALS:
-        initial = _DEFAULT_INITIALS[kind].copy()
-    else:
+    elif kind == "custom_harmonic":
         problems.append("missing required key 'initial' for custom_harmonic")
+    elif hamiltonian is not None:
+        # documented default: equal populations of levels 1 and 2 with Re rho_12 = 0.5
+        initial = np.zeros((hamiltonian.dim, hamiltonian.dim), dtype=complex)
+        initial[:2, :2] = 0.5
 
     if initial is not None:
         for failure in validate_density(initial):
@@ -388,9 +382,10 @@ def read_csv_columns(path) -> tuple[str, ...]:
     return tuple(header.split(","))
 
 
-def read_csv(path, names=None) -> TrajectoryRecord:
+def read_csv(path, names=None, finite=False) -> TrajectoryRecord:
     """Read back a CSV produced by :func:`emit_csv`: every column, or only
-    the columns in ``names``, each once and in the file's order.
+    the columns in ``names``, each once and in the file's order.  With
+    ``finite``, a value read that is not finite fails, naming its line.
 
     One ``np.loadtxt`` pass parses the rows with a structured dtype: a float
     field for each column read and a zero-width ``"S0"`` field for each
@@ -420,26 +415,36 @@ def read_csv(path, names=None) -> TrajectoryRecord:
                                encoding="utf-8")
     except ValueError as exc:
         raise ValueError(f"{path}: {_first_bad_line(path, columns, dtype, read) or exc}") from exc
-    return TrajectoryRecord(kept, table.view(np.float64).reshape(len(table), len(kept)))
+    data = table.view(np.float64).reshape(len(table), len(kept))
+    if finite and not np.isfinite(data).all():
+        row = int(np.argmin(np.isfinite(data).all(axis=1)))
+        raise ValueError(f"{path}: {_first_bad_line(path, columns, dtype, read, row + 1)}")
+    return TrajectoryRecord(kept, data)
 
 
-def _first_bad_line(path, columns, dtype, read) -> str | None:
-    """Why ``np.loadtxt`` rejected a CSV read with ``dtype``: the line where
-    numpy's reader stopped, counted from 1 with the header, is not UTF-8, has
-    the wrong number of fields, or has a field of a column in ``read`` that
-    ``np.loadtxt`` rejects.  A rescan feeds numpy a generator of the lines,
-    which it pulls one at a time, so that line is the last one handed over.
-    None when nothing is found, so the caller keeps loadtxt's own message."""
+def _first_bad_line(path, columns, dtype, read, max_rows=None) -> str | None:
+    """Why a CSV read with ``dtype`` is rejected: the line where numpy's
+    reader stopped, counted from 1 with the header, is not UTF-8, has the
+    wrong number of fields, or has a field of a column in ``read`` that
+    ``np.loadtxt`` rejects or parses to a value that is not finite.  A rescan
+    feeds numpy a generator of the lines, which it pulls one at a time, so
+    that line is the last one handed over: the line where it failed, or the
+    line of data row ``max_rows - 1``.  None when nothing is found, so the
+    caller keeps loadtxt's own message."""
     def lines(f):
         nonlocal number, raw
         for number, raw in enumerate(f, start=1):
             yield raw.decode("utf-8")
 
     number, raw = 1, b""
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, warnings.catch_warnings():
+        # max_rows counts data rows; numpy notes each skipped line it passes
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
         try:
-            np.loadtxt(lines(f), delimiter=",", dtype=dtype, ndmin=1, skiprows=1)
-            return None
+            np.loadtxt(lines(f), delimiter=",", dtype=dtype, ndmin=1, skiprows=1,
+                       max_rows=max_rows)
+            if max_rows is None:
+                return None
         except ValueError:
             pass
     try:
@@ -451,9 +456,11 @@ def _first_bad_line(path, columns, dtype, read) -> str | None:
         return f"line {number}: expected {len(columns)} fields, found {len(fields)}"
     for i in read:
         try:
-            np.loadtxt([line], delimiter=",", usecols=i)
+            value = np.loadtxt([line], delimiter=",", usecols=i)
         except ValueError:
             return f"line {number}: {columns[i]} field {str(fields[i])!r} is not a number"
+        if not np.isfinite(value):
+            return f"line {number}: {columns[i]} field {str(fields[i])!r} is not a finite number"
     return None
 
 
@@ -484,8 +491,9 @@ def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,
     xa = lowpass_series(a.column(column), dt, cutoff)
     xb = lowpass_series(b.column(column), dt, cutoff)
     n = xa.size
-    margin = int(round(2.0 * np.pi / (cutoff * dt)))
-    margin = max(0, min(margin, (n - MIN_SAMPLES) // 2))
+    # one kernel width, capped before the division overflows at a tiny cutoff
+    step, cap = cutoff * dt, (n - MIN_SAMPLES) // 2
+    margin = int(round(2.0 * np.pi / step)) if 2.0 * np.pi < cap * step else cap
     xa = xa[margin:n - margin]
     xb = xb[margin:n - margin]
     freq_a = dominant_frequency(xa, dt)
@@ -500,7 +508,7 @@ def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,
         "frequency_difference": freq_a - freq_b,
         "amplitude_a": float(amp_a),
         "amplitude_b": float(amp_b),
-        "amplitude_ratio": float(amp_a / amp_b) if amp_b != 0 else math.inf,
+        "amplitude_ratio": float(amp_a / amp_b) if amp_b != 0 else None,
         "max_deviation": float(np.abs(xa - xb).max()),
     }
 
@@ -534,7 +542,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     for label, propagate, model in (("exact", propagate_exact, cfg.hamiltonian),
                                     ("effective", propagate_effective, cfg.generator)):
         traj = propagate(model, cfg.initial, cfg.grid)
-        report[f"purity_drift_{label}"] = _purity_drift(traj)
+        report[f"purity_drift_{label}"] = float(np.abs(traj.purity - traj.purity[0]).max())
         report[f"min_eigenvalue_{label}"] = float(traj.min_eigenvalues.min())
         records.append(build_record(traj))
         del traj
@@ -542,8 +550,3 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     if cfg.compares():
         report["comparison"] = compare_trajectories(rec_exact, rec_eff, cutoff)
     return RunResult(rec_exact, rec_eff, report)
-
-
-def _purity_drift(traj: Trajectory) -> float:
-    purity = traj.purity
-    return float(np.abs(purity - purity[0]).max())

@@ -15,6 +15,13 @@ from avgdyn.scenarios import KINDS, TrajectoryRecord, emit_csv
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+def strict_json(text):
+    """Parse JSON, failing on the NaN and Infinity that json.dumps writes by default."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "small.json"
@@ -119,15 +126,24 @@ class TestValidate:
          "terms[0]: expected an object with keys 'h', 'omega'"),
         ('"kind": "ac_stark", "b": 0.3, "initial": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]',
          "initial: dimension 3 does not match Hamiltonian dimension 2"),
+        ('"kind": "ac_stark", "b": 0.3, "initial": [[0.5, 1e308], [1e308, 0.5]]',
+         "initial: minimum eigenvalue -1.000e+308"),
+        ('"kind": "ac_stark", "b": 0.3, "initial": [[1, 1e308], [-1e308, 0]]',
+         "initial: hermiticity violated by inf"),
+        ('"kind": "custom_harmonic", "h0": [[0, 1e308], [-1e308, 0]], "terms": [], '
+         '"initial": [[1, 0], [0, 0]]',
+         "h0 must be Hermitian within 1e-12"),
     ], ids=["nan_h0", "inf_term", "nan_initial", "long_int_number", "long_int_entry",
             "over_digit_limit", "bool_number", "string_number", "string_nan",
             "string_entries", "string_matrix", "bool_pair", "overflowing_drive",
             "overflowing_generator", "overflowing_raman_generator", "negative_term_omega",
-            "term_not_an_object", "initial_dimension_mismatch"])
+            "term_not_an_object", "initial_dimension_mismatch", "huge_initial_eigenvalue",
+            "huge_initial_antihermitian", "huge_h0_antihermitian"])
     def test_malformed_numbers(self, tmp_path, capsys, keys, message):
         # NaN, Infinity and integers of any length are valid Python JSON; only
         # numbers count as numbers, and a drive whose operator overflows is
-        # rejected at validation rather than at run time
+        # rejected at validation rather than at run time.  Entries of 1e308
+        # are finite: the Hermiticity checks must not overflow on them
         path = tmp_path / "numbers.json"
         path.write_text('{"t_max": 20, "dt": 0.01, ' + keys + "}", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
@@ -239,6 +255,38 @@ class TestRun:
                     "exceeds the RK4 stability limit 2.55\n")
         assert not out.exists()
 
+    def test_report_is_strict_json(self, tmp_path, capsys):
+        # a cutoff that passes the DC bin alone leaves amplitude_b = 0: the
+        # amplitude ratio is null, not Infinity
+        path = tmp_path / "dc.json"
+        path.write_text(json.dumps({"kind": "ac_stark", "b": 0.3, "t_max": 20, "dt": 0.01,
+                                    "cutoff": 1e-10}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        report = strict_json((out / "report.json").read_text(encoding="utf-8"))
+        assert report["comparison"]["amplitude_b"] == 0.0
+        assert report["comparison"]["amplitude_ratio"] is None
+        assert strict_json(capsys.readouterr().out) == report
+
+    @pytest.mark.parametrize("cutoff", [1e-320, 5e-324])
+    def test_tiny_cutoff_runs(self, tmp_path, capsys, cutoff):
+        # one kernel width, 2*pi / (cutoff * dt) samples, overflows at 1e-320
+        # and divides by zero at 5e-324; like 1e-10, both pass the DC bin alone
+        comparisons = []
+        for c in (cutoff, 1e-10):
+            path = tmp_path / f"{c}.json"
+            path.write_text(json.dumps({"kind": "ac_stark", "b": 0.3, "t_max": 20,
+                                        "dt": 0.01, "cutoff": c}), encoding="utf-8")
+            out = tmp_path / f"out{c}"
+            assert main(["run", str(path), "--out", str(out)]) == 0
+            report = strict_json((out / "report.json").read_text(encoding="utf-8"))
+            comparisons.append(report["comparison"])
+        assert capsys.readouterr().err == ""
+        tiny, dc = comparisons
+        assert tiny.pop("cutoff") == cutoff
+        assert dc.pop("cutoff") == 1e-10
+        assert tiny == dc
+
     def test_shipped_raman_equal_detuning(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", str(CONFIG_DIR / "raman_equal_detuning.json"),
@@ -272,11 +320,23 @@ class TestCompare:
         assert main(["compare", str(path), str(path), "--cutoff", "0.5"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_tiny_cutoff(self, tmp_path, capsys):
+        a, b = self._write_pair(tmp_path)
+        assert main(["compare", str(a), str(b), "--cutoff", "1e-320"]) == 0
+        metrics = strict_json(capsys.readouterr().out)
+        assert metrics["cutoff"] == 1e-320 and metrics["amplitude_ratio"] is None
+
     @pytest.mark.parametrize("cutoff", ["0", "-1", "nan"])
     def test_bad_cutoff_rejected_before_reading(self, tmp_path, capsys, cutoff):
         missing = str(tmp_path / "missing.csv")
         assert main(["compare", missing, missing, "--cutoff", cutoff]) == 1
         assert capsys.readouterr().err == "error: --cutoff must be positive\n"
+
+    def test_infinite_cutoff_rejected_before_reading(self, tmp_path, capsys):
+        # a metric holding the cutoff could not be written as strict JSON
+        missing = str(tmp_path / "missing.csv")
+        assert main(["compare", missing, missing, "--cutoff", "inf"]) == 1
+        assert capsys.readouterr().err == "error: --cutoff must be finite\n"
 
     def test_unknown_column_message_unquoted(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
@@ -336,13 +396,18 @@ class TestCompare:
         pytest.param("non_ascii_digit", "line 51: rho12_re field '\u0661' is not a number",
                      id="non_ascii_digit"),
         pytest.param("empty_file", "empty CSV", id="empty_file"),
+        pytest.param("nan_field", "line 51: rho12_re field 'nan' is not a finite number",
+                     id="nan_field"),
+        pytest.param("inf_field", "line 51: rho12_re field '-inf' is not a finite number",
+                     id="inf_field"),
     ])
     def test_damaged_csv_is_runtime_error(self, tmp_path, capsys, which, damage, message):
         # every one exits 2 when every column is parsed too; a per-column
         # read (loadtxt usecols) would accept the field-count and cut-row
         # ones.  Lines are counted in the file, from 1 with the header and
         # the lines loadtxt skips, which are empty before any "#" comment.
-        # Python's float() accepts "1_0" and "\u0661"; loadtxt does not
+        # Python's float() accepts "1_0" and "\u0661"; loadtxt does not.
+        # loadtxt parses "nan" and "-inf", which no run writes
         a, b = self._write_pair(tmp_path)
         bad = {"a": a, "b": b}[which]
         text = bad.read_text(encoding="utf-8")
@@ -361,9 +426,11 @@ class TestCompare:
             fields = lines[row].split(",")
             fields[field] += "\udcff"
             lines[row] = ",".join(fields)
-        elif damage in ("underscore_number", "underscore_then_text", "non_ascii_digit"):
+        elif damage in ("underscore_number", "underscore_then_text", "non_ascii_digit",
+                        "nan_field", "inf_field"):
             values = {"underscore_number": ["1_0"], "underscore_then_text": ["1_0", "oops"],
-                      "non_ascii_digit": ["\u0661"]}[damage]
+                      "non_ascii_digit": ["\u0661"], "nan_field": ["nan"],
+                      "inf_field": ["-inf"]}[damage]
             for row, value in enumerate(values, start=50):
                 fields = lines[row].split(",")
                 fields[3] = value

@@ -11,7 +11,6 @@ from avgdyn.harmonic import (
     EffectiveGenerator,
     HarmonicHamiltonian,
     default_filter,
-    inverse_frequency_pair,
 )
 from avgdyn.linalg import gellmann_basis, superop, unvectorize, vectorize
 from avgdyn.raman import RamanParams, bloch_matrix
@@ -72,26 +71,6 @@ class TestConstruction:
             assert_allclose(hf.evaluate(t), direct, atol=1e-15)
 
 
-class TestInverseFrequencyPair:
-    def test_same_index(self):
-        ham = raman(0.1, 0.1, 2.0, 2.0)
-        assert inverse_frequency_pair(ham, 0, 0) == (0.5, 0.0)
-
-    def test_distinct_frequencies(self):
-        ham = raman(0.1, 0.1, 1.0, 3.0)
-        half_sum, half_diff = inverse_frequency_pair(ham, 0, 1)
-        assert_allclose(half_sum, 2.0 / 3.0, atol=1e-16)
-        assert_allclose(half_diff, 1.0 / 3.0, atol=1e-16)
-
-    def test_equal_frequencies_distinct_indices(self):
-        ham = raman(0.1, 0.2, 1.5, 1.5)
-        assert inverse_frequency_pair(ham, 0, 1) == (1 / 1.5, 0.0)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            inverse_frequency_pair(raman(0.1, 0.1, 1.0, 1.1), 0, 2)
-
-
 class TestEffectiveHamiltonian:
     def test_ac_stark_closed_form(self):
         gen = EffectiveGenerator(ac_stark(0.3, 1.0))
@@ -143,12 +122,14 @@ class TestDecoherenceSuperop:
     def test_equal_frequencies_distinct_indices_zero(self):
         rng = np.random.default_rng(4)
         w = 1.3
-        ham = HarmonicHamiltonian(
-            np.zeros((3, 3)),
-            ((random_complex(rng, 3, 0.1), w), (random_complex(rng, 3, 0.1), w)),
-        )
-        gen = EffectiveGenerator(ham)
-        assert np.linalg.norm(gen.decoherence_superop(2.2)) == 0.0
+        # equal, and unequal but within FREQUENCY_MERGE_TOL
+        for w2 in (w, w + 5e-13):
+            ham = HarmonicHamiltonian(
+                np.zeros((3, 3)),
+                ((random_complex(rng, 3, 0.1), w), (random_complex(rng, 3, 0.1), w2)),
+            )
+            gen = EffectiveGenerator(ham)
+            assert np.linalg.norm(gen.decoherence_superop(2.2)) == 0.0
 
     def test_raman_bracket_structure(self):
         o1, o2, w1, w2 = 0.1, 0.12, 1.0, 1.08
