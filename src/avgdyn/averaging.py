@@ -41,13 +41,6 @@ MAX_ORDER = 3
 VALIDITY_SAMPLES = 512
 
 
-def _check_order(order):
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if order < 0 or order > MAX_ORDER:
-        raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order}")
-
-
 def dyson_terms(hamiltonian: FourierOperator, t0, order) -> list[FourierOperator]:
     """Dyson terms U_1 .. U_order for the given Hamiltonian, from time t0.
 
@@ -55,7 +48,10 @@ def dyson_terms(hamiltonian: FourierOperator, t0, order) -> list[FourierOperator
     analytically on the t**p * exp(i nu t) factors.  The Hamiltonian must
     be trigonometric (no polynomial-in-t terms).
     """
-    _check_order(order)
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+        raise ValueError(f"order must be an integer, got {order!r}")
+    if order < 0 or order > MAX_ORDER:
+        raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order}")
     for _, _, p in hamiltonian.terms:
         if p > 0:
             raise ValueError("Hamiltonian terms with polynomial time dependence "

@@ -94,7 +94,7 @@ def _cmd_compare(args) -> int:
         for name in names:
             if name not in columns:
                 raise ScenarioError([f"no column {name!r}; have {columns}"])
-    a, b = (read_csv(path, names, finite=True) for path in (args.a, args.b))
+    a, b = (read_csv(path, names) for path in (args.a, args.b))
     metrics = compare_trajectories(a, b, args.cutoff, column=args.column)
     print(_dumps(metrics))
     return EXIT_OK

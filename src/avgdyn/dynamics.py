@@ -16,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .fourier import FourierOperator
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian
-from .linalg import POSITIVITY_TOL, require_density, unvectorize, vectorize
+from .linalg import POSITIVITY_TOL, unvectorize, validate_density, vectorize
 
 __all__ = ["TimeGrid", "Trajectory", "propagate_linear", "propagate_exact",
            "propagate_effective"]
@@ -52,8 +53,10 @@ class TimeGrid:
             raise ValueError("t_max must exceed t0")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if (self.t_max - self.t0) / self.dt > MAX_STEPS:
+        if (span := self.t_max - self.t0) / self.dt > MAX_STEPS:
             raise ValueError(f"grid exceeds {MAX_STEPS} steps")
+        if self.n_steps < 1:
+            raise ValueError(f"dt {self.dt!r} exceeds the span t_max - t0 = {span!r}")
         t_abs = max(abs(self.t0), abs(self.t_max))
         if self.dt < (least := MIN_STEP_ULPS * math.ulp(t_abs)):
             raise ValueError(f"dt {self.dt:g} is lost to rounding at |t| = {t_abs:g}; "
@@ -61,8 +64,7 @@ class TimeGrid:
 
     @property
     def n_steps(self) -> int:
-        n = int(np.floor((self.t_max - self.t0) / self.dt + 1e-9))
-        return max(n, 1)
+        return int(np.floor((self.t_max - self.t0) / self.dt + 1e-9))
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
@@ -167,12 +169,13 @@ def _renormalize_traces(states, grid: TimeGrid) -> None:
         states /= np.repeat(scales, np.diff(events + [len(traces)]))[:, None, None]
 
 
-def _propagate_density(generators, dim, rho0, grid: TimeGrid) -> Trajectory:
-    """Propagate a dim-level density matrix, column-stacked; renormalize its trace."""
-    rho = require_density(rho0)
-    if dim != rho.shape[0]:
-        raise ValueError(f"Hamiltonian dim {dim} != state dim {rho.shape[0]}")
-    states = unvectorize(propagate_linear(generators, vectorize(rho), grid))
+def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Trajectory:
+    """Propagate a density matrix, column-stacked, under ``liouvillian``; renormalize its trace."""
+    if failures := validate_density(rho0):
+        raise ValueError("not a density matrix: " + "; ".join(failures))
+    if liouvillian.dim != np.size(rho0):
+        raise ValueError(f"Hamiltonian dim {math.isqrt(liouvillian.dim)} != state dim {len(rho0)}")
+    states = unvectorize(propagate_linear(liouvillian.evaluate, vectorize(rho0), grid))
     _renormalize_traces(states, grid)
     return Trajectory(grid.times(), states)
 
@@ -183,7 +186,7 @@ def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> T
     H(t) is Hermitian by construction of the HarmonicHamiltonian; the trace
     is renormalized (and logged) only if it drifts beyond 1e-12.
     """
-    return _propagate_density(hamiltonian.liouvillian.evaluate, hamiltonian.dim, rho0, grid)
+    return _propagate_density(hamiltonian.liouvillian, rho0, grid)
 
 
 def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid) -> Trajectory:
@@ -193,7 +196,7 @@ def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid) -> 
     minimum eigenvalue is monitored along the trajectory and excursions
     below -POSITIVITY_TOL are logged as warnings, never clamped.
     """
-    traj = _propagate_density(generator.liouvillian_matrix, generator.dim, rho0, grid)
+    traj = _propagate_density(generator.liouvillian, rho0, grid)
     min_eig = traj.min_eigenvalues.min()
     if min_eig < -POSITIVITY_TOL:
         logger.warning("averaged evolution dipped to min eigenvalue %.3e", min_eig)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import FREQUENCY_MERGE_TOL, FourierOperator, commutator
-from .linalg import superop, unvectorize, vectorize
+from .linalg import as_square, hermiticity_defect, superop, unvectorize, vectorize
 
 __all__ = [
     "HarmonicHamiltonian",
@@ -42,22 +42,14 @@ class HarmonicHamiltonian:
     terms: tuple[tuple[np.ndarray, float], ...] = ()
 
     def __post_init__(self):
-        h0 = np.asarray(self.h0, dtype=complex)
-        if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-            raise ValueError(f"h0 must be square, got shape {h0.shape}")
-        if not np.all(np.isfinite(h0)):
-            raise ValueError("h0 entries must be finite")
-        if 2.0 * float(np.abs(h0 / 2.0 - h0.conj().T / 2.0).max()) > 1e-12:
+        h0 = as_square(self.h0, "h0")
+        if hermiticity_defect(h0) > 1e-12:
             raise ValueError("h0 must be Hermitian within 1e-12")
         terms = []
         for k, (h, w) in enumerate(self.terms):
-            h = np.asarray(h, dtype=complex)
+            h = as_square(h, f"drive operator {k}")
             if h.shape != h0.shape:
-                raise ValueError(
-                    f"drive operator {k} has shape {h.shape}, expected {h0.shape}"
-                )
-            if not np.all(np.isfinite(h)):
-                raise ValueError(f"drive operator {k} entries must be finite")
+                raise ValueError(f"drive operator {k} has shape {h.shape}, expected {h0.shape}")
             w = float(w)
             if not w > 0:
                 raise ValueError(f"drive frequency {k} must be positive, got {w}")
@@ -68,9 +60,6 @@ class HarmonicHamiltonian:
     @property
     def dim(self) -> int:
         return self.h0.shape[0]
-
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.terms)
 
     def as_fourier(self) -> FourierOperator:
         """The full H(t) as an operator-valued Fourier sum."""
@@ -92,7 +81,7 @@ def default_filter(ham: HarmonicHamiltonian) -> float:
     are close.  Infinite (transparent) when there is no drive."""
     if not ham.terms:
         return np.inf
-    return min(ham.frequencies()) / 2.0
+    return min(w for _, w in ham.terms) / 2.0
 
 
 class EffectiveGenerator:

@@ -19,15 +19,17 @@ __all__ = [
     "vectorize",
     "unvectorize",
     "superop",
+    "as_square",
+    "hermiticity_defect",
     "validate_density",
-    "require_density",
     "gellmann_basis",
     "BLOCH_LABELS",
     "bloch_decompose",
 ]
 
 
-def _as_square(a, name="operator", stack=False):
+def as_square(a, name="operator", stack=False):
+    """``a`` as a complex array, checked to be a finite square matrix (a stack with ``stack``)."""
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -65,18 +67,22 @@ DENSITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-9
 
 
+def hermiticity_defect(m) -> float:
+    """max|m - m†| as ``2 max|m/2 - m†/2|``: halved first, it is finite for finite ``m``."""
+    return 2.0 * float(np.abs(m / 2.0 - m.conj().T / 2.0).max())
+
+
 def validate_density(m) -> list[str]:
     """Violations of hermiticity / unit trace / positivity of ``m``, one
     message each; empty when ``m`` is a density matrix.
 
     Positivity is measured on the Hermitian part ``m/2 + m†/2``: halved
-    first, it and the defect ``2 max|m/2 - m†/2|`` are finite for finite ``m``.
+    first, it and the :func:`hermiticity_defect` are finite for finite ``m``.
     """
-    m = _as_square(m, "density matrix")
-    half, half_dagger = m / 2.0, m.conj().T / 2.0
-    herm = 2.0 * float(np.abs(half - half_dagger).max())
+    m = as_square(m, "density matrix")
+    herm = hermiticity_defect(m)
     trace = float(abs(m.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh(half + half_dagger)[0])
+    min_eig = float(np.linalg.eigvalsh(m / 2.0 + m.conj().T / 2.0)[0])
     out = []
     if herm > DENSITY_TOL:
         out.append(f"hermiticity violated by {herm:.3e}")
@@ -85,13 +91,6 @@ def validate_density(m) -> list[str]:
     if min_eig < -POSITIVITY_TOL:
         out.append(f"minimum eigenvalue {min_eig:.3e}")
     return out
-
-
-def require_density(m):
-    """Return ``m`` as a complex array, raising if it is not a density matrix."""
-    if failures := validate_density(m):
-        raise ValueError("not a density matrix: " + "; ".join(failures))
-    return np.asarray(m, dtype=complex)
 
 
 def _ketbra(i, j):
@@ -132,7 +131,7 @@ def bloch_decompose(rho) -> np.ndarray:
     The identity carries the fixed coefficient 1/3 so that the expansion
     has unit trace; the remaining coefficients are tr(rho G)/tr(G^2).
     """
-    rho = _as_square(rho, stack=True)
+    rho = as_square(rho, stack=True)
     if rho.shape[-2:] != (3, 3):
         raise ValueError(f"Bloch decomposition needs a 3x3 operator, got {rho.shape}")
     return np.einsum("...ij,kji->...k", rho, gellmann_basis()).real / 2.0

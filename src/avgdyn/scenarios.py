@@ -382,10 +382,10 @@ def read_csv_columns(path) -> tuple[str, ...]:
     return tuple(header.split(","))
 
 
-def read_csv(path, names=None, finite=False) -> TrajectoryRecord:
+def read_csv(path, names=None) -> TrajectoryRecord:
     """Read back a CSV produced by :func:`emit_csv`: every column, or only
-    the columns in ``names``, each once and in the file's order.  With
-    ``finite``, a value read that is not finite fails, naming its line.
+    the columns in ``names``, each once and in the file's order.  A value
+    read that is not finite fails, naming its line.
 
     One ``np.loadtxt`` pass parses the rows with a structured dtype: a float
     field for each column read and a zero-width ``"S0"`` field for each
@@ -416,7 +416,7 @@ def read_csv(path, names=None, finite=False) -> TrajectoryRecord:
     except ValueError as exc:
         raise ValueError(f"{path}: {_first_bad_line(path, columns, dtype, read) or exc}") from exc
     data = table.view(np.float64).reshape(len(table), len(kept))
-    if finite and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         row = int(np.argmin(np.isfinite(data).all(axis=1)))
         raise ValueError(f"{path}: {_first_bad_line(path, columns, dtype, read, row + 1)}")
     return TrajectoryRecord(kept, data)

@@ -1,8 +1,13 @@
 import importlib
 import pkgutil
 import types
+from pathlib import Path
+
+import numpy as np
 
 import avgdyn
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 PAPER_API = {
     "forward_series", "generator_series", "inverse_series",
@@ -30,3 +35,16 @@ def test_every_submodule_all_entry_resolves():
         module = importlib.import_module(f"avgdyn.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"avgdyn.{info.name}.__all__ lists missing {name!r}"
+
+
+def test_names_the_benchmark_reads_resolve(monkeypatch):
+    # the benchmark rebinds and calls names no product path needs, such as
+    # EffectiveGenerator.master_rhs and SuperoperatorSeries.apply: deleting
+    # one fails here, not only in a benchmark run
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    with tracing.Tracer().installed(0):
+        pass
+    config = workloads.make_configs("series_derive", 1)[0]
+    assert workloads.derive_reference(config, np.random.default_rng(0))["failures"] == []

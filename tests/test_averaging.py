@@ -310,7 +310,7 @@ class TestValidityRatio:
     def test_matches_per_sample_loop(self):
         rng = np.random.default_rng(22)
         ham = random_harmonic(rng, 3, 2, strength=0.3)
-        w_min = min(ham.frequencies())
+        w_min = min(w for _, w in ham.terms)
         hf = ham.as_fourier()
         eta = 0.0
         for t in np.linspace(0.0, 2 * np.pi / w_min, 512, endpoint=False):

@@ -287,6 +287,26 @@ class TestRun:
         assert dc.pop("cutoff") == 1e-10
         assert tiny == dc
 
+    def test_step_longer_than_grid_is_validation_error(self, tmp_path, capsys):
+        # n_steps once rounded up to 1, and exact.csv held a row at t = 2
+        path = tmp_path / "long_step.json"
+        path.write_text(json.dumps(
+            {"kind": "custom_harmonic", "h0": [[0.1, 0], [0, -0.1]], "terms": [],
+             "initial": [[1, 0], [0, 0]], "t_max": 1, "dt": 2}
+        ), encoding="utf-8")
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == (
+                "", "error: grid: dt 2.0 exceeds the span t_max - t0 = 1.0\n")
+        assert not out.exists()
+        # a step equal to the span in decimal, 0.3 - 0.1 = 0.19999999999999998, is one step
+        path.write_text(json.dumps(
+            {"kind": "custom_harmonic", "h0": [[0.1, 0], [0, -0.1]], "terms": [],
+             "initial": [[1, 0], [0, 0]], "t0": 0.1, "t_max": 0.3, "dt": 0.2}
+        ), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+
     def test_shipped_raman_equal_detuning(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", str(CONFIG_DIR / "raman_equal_detuning.json"),

@@ -1,5 +1,6 @@
 import logging
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from avgdyn.dynamics import (
     propagate_exact,
     propagate_linear,
 )
+from avgdyn.fourier import FourierOperator
 from avgdyn.harmonic import EffectiveGenerator, HarmonicHamiltonian
 from avgdyn.raman import RamanParams, bloch_matrix, integrate_bloch, raman_coefficients
 from avgdyn.signals import dominant_frequency
@@ -63,8 +65,9 @@ class LeakyGenerator(EffectiveGenerator):
     def master_rhs(self, rho, t):
         return super().master_rhs(rho, t) - self.leak * np.asarray(rho)
 
-    def liouvillian_matrix(self, t):
-        return super().liouvillian_matrix(t) - self.leak * np.eye(self.dim ** 2)
+    @cached_property
+    def liouvillian(self):
+        return super().liouvillian - self.leak * FourierOperator.identity(self.dim ** 2)
 
 
 def ac_stark(omega_rabi=0.3, delta=1.0):
@@ -86,6 +89,10 @@ class TestTimeGrid:
             TimeGrid(0.0, 1e9, 1e-2)
         with pytest.raises(ValueError, match="rounding"):
             TimeGrid(1e17, 1e17 + 2048, 1e-2)
+        with pytest.raises(ValueError, match=r"^dt 2\.0 exceeds the span t_max - t0 = 1\.0$"):
+            TimeGrid(0.0, 1.0, 2.0)
+        # the span 0.3 - 0.1 rounds to 0.19999999999999998: still one step
+        assert TimeGrid(0.1, 0.3, 0.2).n_steps == 1
 
     def test_times_span_grid(self):
         grid = TimeGrid(0.5, 2.5, 0.25)
@@ -128,7 +135,7 @@ class TestPropagateExact:
     def test_purity_conserved(self):
         rng = np.random.default_rng(2)
         ham = random_harmonic(rng, 2, 2, strength=0.1)
-        w_max = max(ham.frequencies())
+        w_max = max(w for _, w in ham.terms)
         rho0 = random_density(rng, 2)
         traj = propagate_exact(ham, rho0, TimeGrid(0, 100, 0.025 / w_max))
         purity = traj.purity
@@ -143,7 +150,7 @@ class TestPropagateExact:
         assert np.abs(traces - 1.0).max() < 1e-12
 
     def test_invalid_initial_state_rejected(self):
-        with pytest.raises(ValueError, match="density"):
+        with pytest.raises(ValueError, match="^not a density matrix: minimum eigenvalue"):
             propagate_exact(HarmonicHamiltonian(np.zeros((2, 2))),
                             np.array([[0.5, 0.6], [0.6, 0.5]]),
                             TimeGrid(0, 1, 0.1))

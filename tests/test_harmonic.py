@@ -50,10 +50,10 @@ class TestConstruction:
             HarmonicHamiltonian(np.zeros((2, 2)), ((np.eye(3), 1.0),))
 
     @pytest.mark.parametrize("h0, drives, message", [
-        (np.zeros((2, 3)), (), r"h0 must be square, got shape \(2, 3\)"),
-        (np.diag([np.nan, 0.0]), (), "h0 entries must be finite"),
+        (np.zeros((2, 3)), (), r"h0 must be a square matrix, got shape \(2, 3\)"),
+        (np.diag([np.nan, 0.0]), (), "h0 contains non-finite entries"),
         (np.zeros((2, 2)), ((np.eye(2), 1.0), (np.diag([np.inf, 0.0]), 2.0)),
-         "drive operator 1 entries must be finite"),
+         "drive operator 1 contains non-finite entries"),
     ], ids=["non_square_h0", "nan_h0", "inf_drive"])
     def test_invalid_operators_rejected(self, h0, drives, message):
         with pytest.raises(ValueError, match=message):

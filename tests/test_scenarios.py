@@ -307,8 +307,8 @@ class TestCsv:
         ("t", "x"), ("y", "t"), ("t", "t"), ("y", "y", "x"), ("x",), ("t", "x", "y"),
     ], ids=["prefix", "reordered", "repeated_t", "repeated_unordered", "one", "all"])
     def test_named_read_matches_full_read(self, tmp_path, names):
-        values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
-                  0.1, 1 / 3, -1.7976931348623157e308]
+        values = [1e-300, 1.7976931348623157e308, -1.0, -0.0, 5e-324, -2.5e-310,
+                  2.2250738585072014e-308, 0.1, 1 / 3, -1.7976931348623157e308]
         rng = np.random.default_rng(5)
         data = np.column_stack([np.arange(10.0), values, rng.permutation(values)])
         path = tmp_path / "out.csv"
@@ -320,6 +320,15 @@ class TestCsv:
         assert back.columns == tuple(c for c in ("t", "x", "y") if c in names)
         for name in names:
             assert back.column(name).tobytes() == full.column(name).tobytes()
+        # emit_csv writes nan and +-inf; a read of their column rejects them
+        for bad in (np.nan, np.inf, -np.inf):
+            data[3, 2] = bad
+            emit_csv(TrajectoryRecord(("t", "x", "y"), data), path)
+            if "y" in names:
+                with pytest.raises(ValueError, match=f"line 5: y field '{bad}' is not a finite"):
+                    read_csv(path, names)
+            else:
+                assert read_csv(path, names).data.tobytes() == back.data.tobytes()
 
     @pytest.mark.parametrize("names", [None, ("t", "y")], ids=["all", "named"])
     def test_header_only_reads_no_rows(self, tmp_path, names):
