@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -135,6 +136,11 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # the propagators' logged warnings carry the prefix of the CLI's own
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    log = logging.getLogger("avgdyn")
+    log.addHandler(handler)
     try:
         return args.handler(args)
     except ScenarioError as exc:
@@ -147,3 +153,5 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        log.removeHandler(handler)

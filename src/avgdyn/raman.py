@@ -8,14 +8,15 @@ linear system dr/dt = A(theta) r with theta = (w1 - w2) t and
     beta  = (O1 O2 / 2) * (1/w1 + 1/w2) / 2
     gamma = sqrt(3) (O1 O2 / 2) * (1/w1 - 1/w2) / 2
 
-In the frame co-rotating at theta the system becomes autonomous:
-d/dt d = Omega x d - r_w * gvec and d/dt r_w = -gvec . d, with torque
-Omega = (beta, 0, alpha + w1 - w2) and gvec = (0, gamma, 0).  In the
-oscillatory regime |Omega|^2 > gamma^2 the motion is an ellipse at
+In the frame co-rotating at theta the system becomes autonomous,
+dr/dt = M r: d/dt d = Omega x d - r_w * gvec and d/dt r_w = -gvec . d,
+with torque Omega = (beta, 0, alpha + w1 - w2) and gvec = (0, gamma, 0).
+M satisfies M^3 = -omega^2 M with
 
-    omega = sqrt(|Omega|^2 - gamma^2)
+    omega^2 = -tr(M^2) / 2 = |Omega|^2 - gamma^2,
 
-and the squared Bloch length (the state's purity, up to affine
+so in the oscillatory regime |Omega|^2 > gamma^2 the motion is an ellipse
+at omega, and the squared Bloch length (the state's purity, up to affine
 constants) oscillates — at 2*omega when the rotating-frame w component
 has no DC part.
 """
@@ -100,86 +101,57 @@ def integrate_bloch(params: RamanParams, r0, grid: TimeGrid) -> tuple[np.ndarray
 class RotatingSolution:
     """Closed-form rotating-frame solution of the reduced Raman system.
 
-    The motion is resolved on the orthonormal triad (e_omega, e_gamma,
-    e_p = e_omega x e_gamma):
+    With M the co-rotating matrix, M^3 = -omega^2 M gives the three-term
+    exponential
 
-        d(t)   = d_omega e_omega - (gamma/big_omega) r_w_center e_p
-               + amplitude (e_gamma cos(omega t + phase)
-                            + e_p (big_omega/omega) sin(omega t + phase))
-        r_w(t) = r_w_center - amplitude (gamma/omega) sin(omega t + phase)
+        r(t) = r0 + (sin(omega t)/omega) M r0 + ((1 - cos(omega t))/omega^2) M^2 r0
 
-    ``r_w_center`` is the DC part of the rotating-frame w component and
-    equals r_w(0) in the zero-phase gauge; fitting ``phase`` from general
-    initial conditions extends that gauge-fixed form.
+    ``r_w_center`` is the w entry of r0 + M^2 r0 / omega^2: the DC part of
+    the rotating-frame w component.
     """
 
     omega: float
-    big_omega: float
     gamma: float
-    d_omega: float
-    amplitude: float
-    r_w_center: float
-    phase: float
-    e_omega: np.ndarray
-    e_gamma: np.ndarray
-    e_p: np.ndarray
+    r0: np.ndarray
+    m_r0: np.ndarray
+    m2_r0: np.ndarray
 
     @classmethod
     def fit(cls, params: RamanParams, init) -> "RotatingSolution":
-        alpha, beta, gamma, rate = raman_coefficients(params)
-        torque = np.array([beta, 0.0, alpha + rate])
-        big_omega = float(np.linalg.norm(torque))
-        if big_omega ** 2 <= gamma ** 2:
+        _, _, gamma, rate = raman_coefficients(params)
+        m = bloch_matrix(params, 0.0)
+        # the co-rotating frame adds its rate to the torque's z component
+        m[1, 0] += rate
+        m[0, 1] -= rate
+        m2 = m @ m
+        omega_sq = -0.5 * float(np.trace(m2))  # |Omega|^2 - gamma^2
+        if omega_sq <= 0.0:
             raise OverdampedError(
-                f"non-oscillatory regime: |Omega|^2={big_omega**2:.3e} <= "
+                f"non-oscillatory regime: |Omega|^2={omega_sq + gamma**2:.3e} <= "
                 f"gamma^2={gamma**2:.3e}"
             )
-        omega = math.sqrt(big_omega ** 2 - gamma ** 2)
-        e_omega = torque / big_omega
-        e_gamma = np.array([0.0, 1.0, 0.0])
-        e_p = np.cross(e_omega, e_gamma)
-        r = np.asarray(init, dtype=float)
-        d0, r_w0 = r[:3], float(r[3])
-        d_omega = float(d0 @ e_omega)
-        cos_part = float(d0 @ e_gamma)
-        sin_part = (big_omega * float(d0 @ e_p) + gamma * r_w0) / omega
-        amplitude = math.hypot(cos_part, sin_part)
-        phase = math.atan2(sin_part, cos_part)
-        r_w_center = r_w0 + (gamma / omega) * sin_part
-        return cls(omega, big_omega, gamma, d_omega, amplitude, r_w_center,
-                   phase, e_omega, e_gamma, e_p)
+        r0 = np.asarray(init, dtype=float)
+        return cls(math.sqrt(omega_sq), gamma, r0, m @ r0, m2 @ r0)
 
-    def _components(self, t):
-        ph = self.omega * np.asarray(t, dtype=float) + self.phase
-        d_gamma = self.amplitude * np.cos(ph)
-        d_p = (-(self.gamma / self.big_omega) * self.r_w_center
-               + self.amplitude * (self.big_omega / self.omega) * np.sin(ph))
-        r_w = self.r_w_center - self.amplitude * (self.gamma / self.omega) * np.sin(ph)
-        return d_gamma, d_p, r_w
+    @property
+    def r_w_center(self) -> float:
+        return float(self.r0[3] + self.m2_r0[3] / self.omega ** 2)
 
     def sample(self, times) -> np.ndarray:
-        """Rotating-frame trajectory rows (r_x, r_y, r_z, r_w) at many times."""
-        d_gamma, d_p, r_w = self._components(np.asarray(times, dtype=float))
-        d = (self.d_omega * self.e_omega[:, None]
-             + d_gamma[None, :] * self.e_gamma[:, None]
-             + d_p[None, :] * self.e_p[:, None])
-        return np.vstack([d, r_w[None, :]]).T
+        """Rotating-frame rows (r_x, r_y, r_z, r_w), one per entry of ``times``."""
+        ph = self.omega * np.asarray(times, dtype=float)[..., None]
+        return (self.r0 + (np.sin(ph) / self.omega) * self.m_r0
+                + ((1.0 - np.cos(ph)) / self.omega ** 2) * self.m2_r0)
 
     def bloch_length_sq(self, t):
         """Squared length of the 3-vector part (purity up to affine constants)."""
-        d_gamma, d_p, _ = self._components(t)
-        return self.d_omega ** 2 + d_gamma ** 2 + d_p ** 2
+        d = self.sample(t)[..., :3]
+        return np.sum(d * d, axis=-1)
 
 
 def purity_rate(sol: RotatingSolution, t):
-    """Closed-form d/dt of the squared Bloch length:
-
-        (gamma^2/omega) R^2 sin(2(omega t + phase))
-        - 2 gamma R r_w_center cos(omega t + phase)
-
-    Identically zero when gamma vanishes.
-    """
-    ph = sol.omega * np.asarray(t, dtype=float) + sol.phase
-    r = sol.amplitude
-    return ((sol.gamma ** 2 / sol.omega) * r * r * np.sin(2.0 * ph)
-            - 2.0 * sol.gamma * r * sol.r_w_center * np.cos(ph))
+    """Closed-form d/dt of the squared Bloch length, -2 gamma r_w r_y: the
+    torque term Omega x d is orthogonal to d, so the length is constant
+    when gamma vanishes."""
+    r = sol.sample(t)
+    return -2.0 * sol.gamma * r[..., 3] * r[..., 1]

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import validity_ratio
-from .dynamics import (RK4_STEP_LIMIT, TimeGrid, Trajectory, propagate_effective,
-                       propagate_exact)
+from .dynamics import (MIN_STEP_ULPS, RK4_STEP_LIMIT, TimeGrid, Trajectory,
+                       propagate_effective, propagate_exact)
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
 from .linalg import BLOCH_LABELS, bloch_decompose, validate_density
 from .signals import MIN_SAMPLES, dominant_frequency, lowpass_series
@@ -466,7 +466,8 @@ def _first_bad_line(path, columns, dtype, read, max_rows=None) -> str | None:
 
 def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,
                          column: str = "rho12_re") -> dict:
-    """Frequency/amplitude/deviation metrics for one observable.
+    """Frequency/amplitude/deviation metrics for one observable of two
+    records on one evenly spaced time grid.
 
     Both series pass through the same ideal low-pass, so the metrics of
     identical inputs are exactly zero.  The filter zeroes DFT bins of a
@@ -488,6 +489,12 @@ def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,
     dt = float(ta[1] - ta[0])
     if not dt > 0:
         raise ValueError(f"time step must be positive, got {dt:g}")
+    # 8 ulps at the smallest step a TimeGrid accepts: every run's grid passes
+    uneven = np.flatnonzero(np.abs(np.diff(ta) - dt) > dt * (8 / MIN_STEP_ULPS))
+    if uneven.size:
+        t_from, t_to = ta[uneven[0]:uneven[0] + 2].tolist()
+        raise ValueError(f"times are not evenly spaced: t = {t_from!r} to {t_to!r} "
+                         f"steps by {t_to - t_from!r}, the first step is {dt!r}")
     xa = lowpass_series(a.column(column), dt, cutoff)
     xb = lowpass_series(b.column(column), dt, cutoff)
     n = xa.size

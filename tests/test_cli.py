@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,18 @@ class TestRun:
             "warning: validity ratio >= 1, second-order truncation is not justified "
             "for this scenario\n")
 
+    def test_positivity_warning_is_prefixed(self, tmp_path, capsys):
+        # the averaged Raman state leaves the positive cone within t = 20; the
+        # propagator logs that, and the CLI prints it as one of its warnings
+        path = tmp_path / "raman.json"
+        path.write_text(json.dumps({"kind": "raman", "Omega1": 0.1, "Omega2": 0.1,
+                                    "omega1": 1.0, "omega2": 1.02, "t_max": 20, "dt": 0.02}),
+                        encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: averaged evolution dipped to min eigenvalue -1.933e-04\n")
+        assert not logging.getLogger("avgdyn").handlers
+
     def test_large_entries_run(self, tmp_path):
         # Hermitian, with H(t) entries of 1e7: rounding in H(t) - H(t)^dagger
         # is far above 1e-10 and must not read as non-Hermitian
@@ -333,7 +346,10 @@ class TestCompare:
         (["0,0.5"], "trajectories have 1 samples, comparing them needs at least 64"),
         (["0,0.5"] + [f"{0.1 * k:g},0.5" for k in range(100)],
          "time step must be positive, got 0"),
-    ], ids=["header_only", "one_row", "repeated_time"])
+        ([f"{0.1 * k:g},0.5" for k in range(100)]
+         + [f"{9.9 + 0.5 * k:g},0.5" for k in range(1, 101)],
+         "times are not evenly spaced: t = 9.9 to 10.4 steps by 0.5, the first step is 0.1"),
+    ], ids=["header_only", "one_row", "repeated_time", "uneven_times"])
     def test_uncomparable_csv_is_runtime_error(self, tmp_path, capsys, rows, message):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(["t,rho12_re"] + rows) + "\n", encoding="utf-8")

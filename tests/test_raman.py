@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from avgdyn.dynamics import TimeGrid
 from avgdyn.raman import (
@@ -64,17 +65,13 @@ class TestBlochMatrix:
             assert_allclose(got, want, atol=1e-15)
 
 
-class TestRotatingSolution:
-    def test_oscillation_frequency_345(self):
-        # |Omega| = 0.005, gamma = 0.003 -> omega = 0.004 by 3-4-5
-        sol = RotatingSolution(
-            omega=np.sqrt(0.005**2 - 0.003**2), big_omega=0.005, gamma=0.003,
-            d_omega=0.0, amplitude=1.0, r_w_center=0.0, phase=0.0,
-            e_omega=np.array([0.0, 0.0, 1.0]), e_gamma=np.array([0.0, 1.0, 0.0]),
-            e_p=np.array([-1.0, 0.0, 0.0]),
-        )
-        assert_allclose(sol.omega, 0.004, rtol=1e-12)
+def torque(params):
+    """The rotating-frame torque Omega = (beta, 0, alpha + w1 - w2)."""
+    alpha, beta, _, rate = raman_coefficients(params)
+    return np.array([beta, 0.0, alpha + rate])
 
+
+class TestRotatingSolution:
     def test_fit_frequency_formula(self):
         alpha, beta, gamma, rate = raman_coefficients(P_REF)
         sol = RotatingSolution.fit(P_REF, np.array([0.2, 0.1, -0.3, 0.05]))
@@ -84,13 +81,16 @@ class TestRotatingSolution:
     def test_gamma_zero_is_circular_precession(self):
         params = RamanParams(0.1, 0.1, 1.3, 1.3)  # equal detunings: gamma = 0
         sol = RotatingSolution.fit(params, np.array([0.2, 0.1, -0.3, 0.05]))
-        assert sol.gamma == 0.0 and sol.omega == sol.big_omega
+        axis = torque(params)
+        assert sol.gamma == 0.0
+        assert_allclose(sol.omega, np.linalg.norm(axis), rtol=1e-15)
+        axis /= np.linalg.norm(axis)
         ts = np.linspace(0, 200, 400)
         rows = sol.sample(ts)
         # radius about the torque axis and r_w are both constant
         d = rows[:, :3]
-        axial = d @ sol.e_omega
-        radial = np.linalg.norm(d - np.outer(axial, sol.e_omega), axis=1)
+        axial = d @ axis
+        radial = np.linalg.norm(d - np.outer(axial, axis), axis=1)
         assert np.abs(radial - radial[0]).max() < 1e-14
         assert np.abs(axial - axial[0]).max() < 1e-14
         assert np.abs(rows[:, 3] - rows[0, 3]).max() < 1e-14
@@ -101,13 +101,12 @@ class TestRotatingSolution:
         params = RamanParams(0.1, 0.1, 1.0, 1.02)
         _, _, gamma, _ = raman_coefficients(params)
         sol = RotatingSolution.fit(params, np.array([0.3, 0.2, 0.4, 0.1]))
-        torque = sol.big_omega * sol.e_omega
         gvec = gamma * np.array([0.0, 1.0, 0.0])
         h = 1e-4
         for t in (0.0, 37.0, 151.0):
             rm, r0, rp = sol.sample([t - h, t, t + h])
             deriv = (rp - rm) / (2 * h)
-            want_d = np.cross(torque, r0[:3]) - r0[3] * gvec
+            want_d = np.cross(torque(params), r0[:3]) - r0[3] * gvec
             want_w = -gvec @ r0[:3]
             assert np.abs(deriv[:3] - want_d).max() < 1e-10
             assert abs(deriv[3] - want_w) < 1e-10
@@ -121,13 +120,41 @@ class TestRotatingSolution:
             RotatingSolution.fit(params, np.array([0.1, 0.0, 0.0, 0.0]))
 
     def test_zero_phase_gauge_matches_initial_conditions(self):
+        # d0 on the gamma axis and r_w0 = 0: the zero-phase ellipse
+        #   d   = A (e_gamma cos(omega t) + e_p (|Omega|/omega) sin(omega t))
+        #   r_w = -A (gamma/omega) sin(omega t),  e_p = e_Omega x e_gamma
         params = RamanParams(0.1, 0.1, 1.0, 1.02)
         _, _, gamma, _ = raman_coefficients(params)
-        sol0 = RotatingSolution.fit(params, np.array([0.0, 0.25, 0.0, 0.0]))
-        assert abs(sol0.phase) < 1e-12
+        axis = torque(params)
+        big_omega = np.linalg.norm(axis)
+        e_gamma = np.array([0.0, 1.0, 0.0])
+        e_p = np.cross(axis / big_omega, e_gamma)
+        init = np.array([0.0, 0.25, 0.0, 0.0])
+        sol0 = RotatingSolution.fit(params, init)
         assert sol0.r_w_center == 0.0
-        first = sol0.sample([0.0])[0]
-        assert_allclose(first, [0.0, 0.25, 0.0, 0.0], atol=1e-15)
+        ts = np.linspace(0, 2 * np.pi / sol0.omega, 50)
+        cos_t, sin_t = np.cos(sol0.omega * ts), np.sin(sol0.omega * ts)
+        rows = sol0.sample(ts)
+        want_d = 0.25 * (np.outer(cos_t, e_gamma)
+                         + np.outer((big_omega / sol0.omega) * sin_t, e_p))
+        assert_allclose(rows[:, :3], want_d, rtol=0, atol=1e-14)
+        assert_allclose(rows[:, 3], -0.25 * (gamma / sol0.omega) * sin_t, rtol=0, atol=1e-14)
+        assert_allclose(rows[0], init, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("params", [RamanParams(0.1, 0.1, 1.0, 1.02), P_REF,
+                                        RamanParams(0.3, 0.2, 0.7, 1.1)])
+    def test_sample_is_the_matrix_exponential(self, params):
+        _, beta, gamma, _ = raman_coefficients(params)
+        omega_z = torque(params)[2]
+        m = np.array([[0.0, -omega_z, 0.0, 0.0],
+                      [omega_z, 0.0, -beta, -gamma],
+                      [0.0, beta, 0.0, 0.0],
+                      [0.0, -gamma, 0.0, 0.0]])
+        r0 = np.array([0.3, -0.2, 0.4, 0.1])
+        sol = RotatingSolution.fit(params, r0)
+        ts = np.linspace(0, 4 * 2 * np.pi / sol.omega, 37)
+        want = np.array([expm(m * t) @ r0 for t in ts])
+        assert np.abs(sol.sample(ts) - want).max() < 1e-12
 
 
 class TestNumericAgainstAnalytic:
