@@ -36,7 +36,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HarmonicHamiltonian:
-    """H0 plus a list of (h_n, w_n) harmonic drive pairs, all w_n > 0."""
+    """H0 (held as its Hermitian part) plus (h_n, w_n) harmonic drive pairs, all w_n > 0."""
 
     h0: np.ndarray
     terms: tuple[tuple[np.ndarray, float], ...] = ()
@@ -54,7 +54,7 @@ class HarmonicHamiltonian:
             if not w > 0:
                 raise ValueError(f"drive frequency {k} must be positive, got {w}")
             terms.append((h, w))
-        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h0", h0 / 2.0 + h0.conj().T / 2.0)
         object.__setattr__(self, "terms", tuple(terms))
 
     @property

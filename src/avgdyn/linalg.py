@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "vectorize",
     "unvectorize",
+    "upper_triangle", "hermitian_coordinates",
     "superop",
     "as_square",
     "hermiticity_defect",
@@ -51,6 +52,22 @@ def unvectorize(v):
     if d * d != v.shape[-1]:
         raise ValueError(f"vector length {v.shape[-1]} is not a perfect square")
     return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
+
+
+def upper_triangle(d) -> list[tuple[int, int]]:
+    """The diagonal entries (i, i), then the off-diagonals (i, j > i) row by row."""
+    return [(i, i) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def hermitian_coordinates(d):
+    """(to_vec, from_vec) with vec(rho) = to_vec @ x, x = from_vec @ vec(rho) for the
+    real coordinates x of a Hermitian rho: rho_ii, then Re and Im rho_ij in
+    :func:`upper_triangle` order.  Entries are 0, 1, ±i and 0, 1, 1/2, ±i/2: exact."""
+    units = [(i, j, u) for i, j in upper_triangle(d) for u in ((1.0,) if i == j else (1.0, 1j))]
+    to_vec = np.zeros((d * d, len(units)), dtype=complex)
+    for k, (i, j, u) in enumerate(units):
+        to_vec[[i + d * j, j + d * i], k] = u, np.conj(u)  # column-stacked, as vectorize
+    return to_vec, to_vec.conj().T / (np.abs(to_vec) ** 2).sum(axis=0)[:, None]
 
 
 def superop(left, right):

@@ -24,7 +24,7 @@ from .averaging import validity_ratio
 from .dynamics import (MIN_STEP_ULPS, RK4_STEP_LIMIT, TimeGrid, Trajectory,
                        propagate_effective, propagate_exact)
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
-from .linalg import BLOCH_LABELS, bloch_decompose, validate_density
+from .linalg import BLOCH_LABELS, bloch_decompose, upper_triangle, validate_density
 from .signals import MIN_SAMPLES, dominant_frequency, lowpass_series
 
 __all__ = [
@@ -318,18 +318,12 @@ class TrajectoryRecord:
         return self.column("t")
 
 
-def _upper_triangle(d) -> list[tuple[int, int]]:
-    """The state entries a record holds, in column order: the diagonal, then
-    the off-diagonals above it row by row."""
-    return [(i, i) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
-
-
 def _record_columns(d) -> tuple[str, ...]:
     """The CSV columns of a d-level run: time, the upper-triangle state
     entries (real parts, and imaginary parts off the diagonal), the Bloch
     components when d = 3, purity and minimum eigenvalue."""
     columns = ["t"]
-    for i, j in _upper_triangle(d):
+    for i, j in upper_triangle(d):
         columns += [f"rho{i + 1}{j + 1}_re"] + ([f"rho{i + 1}{j + 1}_im"] if i != j else [])
     if d == 3:
         columns += [f"bloch_{label}" for label in BLOCH_LABELS]
@@ -337,15 +331,15 @@ def _record_columns(d) -> tuple[str, ...]:
 
 
 def _bytes_per_sample(d) -> int:
-    """Bytes a run holds per grid sample: one trajectory's complex states and
-    their symmetrized copy, and the two records' float rows."""
+    """Bytes a run holds per grid sample: twice one trajectory's complex states
+    (they are copied from real coordinates) and the two records' float rows."""
     return 2 * 16 * d * d + 2 * 8 * len(_record_columns(d))
 
 
 def build_record(traj: Trajectory) -> TrajectoryRecord:
     """Tabulate a trajectory in the columns of :func:`_record_columns`."""
     series = [traj.times]
-    for i, j in _upper_triangle(traj.dim):
+    for i, j in upper_triangle(traj.dim):
         entry = traj.entry(i, j)
         series += [entry.real] + ([entry.imag] if i != j else [])
     if traj.dim == 3:

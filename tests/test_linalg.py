@@ -8,6 +8,7 @@ from avgdyn.linalg import (
     BLOCH_LABELS,
     bloch_decompose,
     gellmann_basis,
+    hermitian_coordinates,
     superop,
     unvectorize,
     validate_density,
@@ -123,6 +124,23 @@ class TestVectorization:
         for v in (np.ones(5), np.ones((3, 5))):
             with pytest.raises(ValueError, match="vector length 5 is not a perfect square"):
                 unvectorize(v)
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_exact_inverse_pair(self, d):
+        rng = np.random.default_rng(d)
+        to_vec, from_vec = hermitian_coordinates(d)
+        assert np.array_equal(from_vec @ to_vec, np.eye(d * d))
+        x = rng.standard_normal(d * d)
+        assert np.array_equal(from_vec @ (to_vec @ x), x)
+        v = vectorize(random_hermitian(rng, d))
+        assert np.array_equal(to_vec @ (from_vec @ v), v)
+
+    def test_coordinate_order(self):
+        rho = np.array([[1, 4 + 5j, 6 + 7j], [4 - 5j, 2, 8 + 9j], [6 - 7j, 8 - 9j, 3]])
+        _, from_vec = hermitian_coordinates(3)
+        assert np.array_equal(from_vec @ vectorize(rho), np.arange(1.0, 10.0))
 
 
 class TestGellMann:

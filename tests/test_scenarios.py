@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avgdyn.dynamics import Trajectory, propagate_effective
+from avgdyn.dynamics import TimeGrid, Trajectory, propagate_effective
 from avgdyn.harmonic import EffectiveGenerator
-from avgdyn.linalg import BLOCH_LABELS, bloch_decompose
+from avgdyn.linalg import BLOCH_LABELS, bloch_decompose, hermitian_coordinates
 from avgdyn.scenarios import (
     CSV_BLOCK_VALUES,
     MEMORY_BUDGET_BYTES,
@@ -22,7 +22,7 @@ from avgdyn.scenarios import (
     run_scenario,
     scenario_from_dict,
 )
-from util import csv_reference
+from util import csv_reference, random_density, random_harmonic
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -140,6 +140,14 @@ class TestLoadScenario:
         assert err.value.problems == [
             f"grid: {fits + 1} samples need {(fits + 1) * per_sample} bytes of arrays, "
             f"over the budget of {MEMORY_BUDGET_BYTES}"]
+
+    def test_state_columns_are_the_hermitian_coordinates(self):
+        rng = np.random.default_rng(7)
+        gen = EffectiveGenerator(random_harmonic(rng, 3, 2, strength=0.2))
+        traj = propagate_effective(gen, random_density(rng, 3), TimeGrid(0.0, 5.0, 0.05))
+        vecs = traj.states.transpose(0, 2, 1).reshape(len(traj.times), 9)
+        _, from_vec = hermitian_coordinates(3)
+        assert np.array_equal(build_record(traj).data[:, 1:10], (vecs @ from_vec.T).real)
 
     @pytest.mark.parametrize("d, header", [
         (1, "t,rho11_re,purity,min_eig"),
