@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -70,12 +72,64 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _in_two_processes(fn, first, second):
+    """``(fn(*first), fn(*second))``, the first call made in a forked child
+    process while the parent makes the second.
+
+    The child sends its result, or its exception, back to the parent
+    pickled through a pipe, and ends in ``os._exit``: it runs no ``atexit``
+    handler and flushes none of the buffers it inherited.  The parent always
+    waits for the child, so none is left behind.  When both calls raise,
+    the first call's exception is raised.  Needs POSIX ``os.fork``.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn(*first))
+            except Exception as exc:
+                outcome = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        # closed before the wait, so a child still writing gets EPIPE, not a hang
+        with open(read_fd, "rb") as pipe:
+            try:
+                second_outcome = (True, fn(*second))
+            except Exception as exc:
+                second_outcome = (False, exc)
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    # the child exits 0 only once its whole outcome is written
+    if code := os.waitstatus_to_exitcode(status):
+        raise ValueError(f"the child process for {fn.__name__} ended with exit "
+                         f"code {code} and no result")
+    first_outcome = pickle.loads(payload)
+    for ok, value in (first_outcome, second_outcome):
+        if not ok:
+            raise value
+    return first_outcome[1], second_outcome[1]
+
+
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     args.out.mkdir(parents=True, exist_ok=True)
     result = run_scenario(cfg)
-    emit_csv(result.exact, args.out / "exact.csv")
-    emit_csv(result.effective, args.out / "effective.csv")
+    _in_two_processes(emit_csv, (result.exact, args.out / "exact.csv"),
+                      (result.effective, args.out / "effective.csv"))
     report_text = _dumps(result.report)
     (args.out / "report.json").write_text(report_text + "\n", encoding="utf-8")
     print(report_text)
@@ -95,7 +149,7 @@ def _cmd_compare(args) -> int:
         for name in names:
             if name not in columns:
                 raise ScenarioError([f"no column {name!r}; have {columns}"])
-    a, b = (read_csv(path, names) for path in (args.a, args.b))
+    a, b = _in_two_processes(read_csv, (args.a, names), (args.b, names))
     metrics = compare_trajectories(a, b, args.cutoff, column=args.column)
     print(_dumps(metrics))
     return EXIT_OK

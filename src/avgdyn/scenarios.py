@@ -25,7 +25,7 @@ from .dynamics import (MIN_STEP_ULPS, RK4_STEP_LIMIT, TimeGrid, Trajectory,
                        propagate_effective, propagate_exact)
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
 from .linalg import BLOCH_LABELS, bloch_decompose, upper_triangle, validate_density
-from .signals import MIN_SAMPLES, dominant_frequency, lowpass_series
+from .signals import MIN_SAMPLES, at_rounding_floor, dominant_frequency, lowpass_series
 
 __all__ = [
     "ScenarioError",
@@ -53,9 +53,10 @@ KINDS = tuple(_KIND_KEYS)
 # memory of writing a record independently of its length.
 CSV_BLOCK_VALUES = 16 * 1024
 # Largest estimate of the arrays a run holds, in bytes (2 GiB).  A run keeps
-# one trajectory's states, their symmetrized copy and the two records, so a
-# grid of n_samples needs n_samples * (2 * 16 * d**2 + 2 * 8 * c) bytes for
-# c CSV columns; larger grids are rejected at validation.
+# one trajectory's complex states and their real coordinates (16 + 8 bytes
+# per entry, within 2 * 16) and the two records, so a grid of n_samples needs
+# at most n_samples * (2 * 16 * d**2 + 2 * 8 * c) bytes for c CSV columns;
+# larger grids are rejected at validation.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -509,7 +510,7 @@ def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, cutoff,
         "frequency_difference": freq_a - freq_b,
         "amplitude_a": float(amp_a),
         "amplitude_b": float(amp_b),
-        "amplitude_ratio": float(amp_a / amp_b) if amp_b != 0 else None,
+        "amplitude_ratio": None if at_rounding_floor(amp_b, xb) else float(amp_a / amp_b),
         "max_deviation": float(np.abs(xa - xb).max()),
     }
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgdyn.cli import main
+from avgdyn.cli import _in_two_processes, main
 from avgdyn.harmonic import EffectiveGenerator
-from avgdyn.scenarios import KINDS, TrajectoryRecord, emit_csv
+from avgdyn.scenarios import KINDS, TrajectoryRecord, emit_csv, load_scenario, run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def strict_json(text):
@@ -409,7 +415,7 @@ class TestCompare:
         emit_csv(record, b)
         return a, b
 
-    @pytest.mark.parametrize("which", ["a", "b"])
+    @pytest.mark.parametrize("which", ["a", "b", "both"])
     @pytest.mark.parametrize("damage, message", [
         pytest.param("fewer_fields", "line 51: expected 7 fields, found 6", id="fewer_fields"),
         pytest.param("more_fields", "line 51: expected 7 fields, found 8", id="more_fields"),
@@ -443,48 +449,51 @@ class TestCompare:
         # ones.  Lines are counted in the file, from 1 with the header and
         # the lines loadtxt skips, which are empty before any "#" comment.
         # Python's float() accepts "1_0" and "\u0661"; loadtxt does not.
-        # loadtxt parses "nan" and "-inf", which no run writes
+        # loadtxt parses "nan" and "-inf", which no run writes.  When both
+        # files are damaged, a is named, as the file read first
         a, b = self._write_pair(tmp_path)
-        bad = {"a": a, "b": b}[which]
-        text = bad.read_text(encoding="utf-8")
-        lines = text.splitlines(keepends=True)
-        if damage.startswith("fewer_fields"):
-            lines[50] = lines[50].rsplit(",", 1)[0] + "\n"
-            if damage.endswith("blank_lines"):
-                lines[1:1] = ["\n", "# comment\n", "\n"]
-        elif damage == "whitespace_line":
-            lines[1:1] = ["  \n"]
-        elif damage.startswith("not_utf8"):
-            # byte 0xff (written through surrogateescape) in the header's
-            # rho12_re, the first row's t, or a later row's unread purity
-            row, field = {"header": (0, 3), "first_row": (1, 0),
-                          "unread_column": (50, 5)}[damage[len("not_utf8_"):]]
-            fields = lines[row].split(",")
-            fields[field] += "\udcff"
-            lines[row] = ",".join(fields)
-        elif damage in ("underscore_number", "underscore_then_text", "non_ascii_digit",
-                        "nan_field", "inf_field"):
-            values = {"underscore_number": ["1_0"], "underscore_then_text": ["1_0", "oops"],
-                      "non_ascii_digit": ["\u0661"], "nan_field": ["nan"],
-                      "inf_field": ["-inf"]}[damage]
-            for row, value in enumerate(values, start=50):
+        damaged = {"a": [a], "b": [b], "both": [a, b]}[which]
+        for bad in damaged:
+            text = bad.read_text(encoding="utf-8")
+            lines = text.splitlines(keepends=True)
+            if damage.startswith("fewer_fields"):
+                lines[50] = lines[50].rsplit(",", 1)[0] + "\n"
+                if damage.endswith("blank_lines"):
+                    lines[1:1] = ["\n", "# comment\n", "\n"]
+            elif damage == "whitespace_line":
+                lines[1:1] = ["  \n"]
+            elif damage.startswith("not_utf8"):
+                # byte 0xff (written through surrogateescape) in the header's
+                # rho12_re, the first row's t, or a later row's unread purity
+                row, field = {"header": (0, 3), "first_row": (1, 0),
+                              "unread_column": (50, 5)}[damage[len("not_utf8_"):]]
                 fields = lines[row].split(",")
-                fields[3] = value
+                fields[field] += "\udcff"
                 lines[row] = ",".join(fields)
-        elif damage == "empty_file":
-            lines = []
-        elif damage == "more_fields":
-            lines[50] = lines[50].rstrip("\n") + ",0\n"
-        elif damage == "cut_mid_row":
-            # inside rho12_im, past the compared rho12_re
-            head = lines[-1].split(",")[:5]
-            lines[-1] = ",".join(head)[:-3]
-        else:
-            assert lines[-1].endswith("e-17\n")
-            lines[-1] = lines[-1][:-len("17\n")]
-        bad.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
+            elif damage in ("underscore_number", "underscore_then_text", "non_ascii_digit",
+                            "nan_field", "inf_field"):
+                values = {"underscore_number": ["1_0"], "underscore_then_text": ["1_0", "oops"],
+                          "non_ascii_digit": ["\u0661"], "nan_field": ["nan"],
+                          "inf_field": ["-inf"]}[damage]
+                for row, value in enumerate(values, start=50):
+                    fields = lines[row].split(",")
+                    fields[3] = value
+                    lines[row] = ",".join(fields)
+            elif damage == "empty_file":
+                lines = []
+            elif damage == "more_fields":
+                lines[50] = lines[50].rstrip("\n") + ",0\n"
+            elif damage == "cut_mid_row":
+                # inside rho12_im, past the compared rho12_re
+                head = lines[-1].split(",")[:5]
+                lines[-1] = ",".join(head)[:-3]
+            else:
+                assert lines[-1].endswith("e-17\n")
+                lines[-1] = lines[-1][:-len("17\n")]
+            bad.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
         assert main(["compare", str(a), str(b), "--cutoff", "0.5"]) == 2
-        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert_no_child_left()
+        assert capsys.readouterr().err == f"error: {damaged[0]}: {message}\n"
 
     def test_non_numeric_compared_field_is_runtime_error(self, tmp_path, capsys):
         a, b = self._write_pair(tmp_path)
@@ -602,6 +611,76 @@ def test_unusable_path_is_one_line_validation_error(small_config, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: [Errno ") and reason in err and err.count("\n") == 1
+
+
+def _raise_if(exc):
+    if exc is not None:
+        raise exc
+
+
+def _exit_in_child(code):
+    if code:
+        os._exit(code)
+
+
+class TestTwoProcesses:
+    """run writes its two CSVs, and compare reads its two, in two processes."""
+
+    def test_results_in_call_order(self):
+        assert _in_two_processes(divmod, (7, 2), (9, 4)) == ((3, 1), (2, 1))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [
+        FileNotFoundError(2, "No such file or directory", "a.csv"),
+        IsADirectoryError(21, "Is a directory", "out/exact.csv"),
+        ValueError("a.csv: line 51: expected 7 fields, found 6"),
+        KeyError("no column 'x'; have ('t',)"),
+    ], ids=["file_not_found", "is_a_directory", "value", "key"])
+    @pytest.mark.parametrize("second", [None, ValueError("second")], ids=["second_ok", "second_fails"])
+    def test_child_exception_comes_back(self, exc, second):
+        # the first call runs in the child; its exception wins over the second's
+        with pytest.raises(type(exc)) as info:
+            _in_two_processes(_raise_if, (exc,), (second,))
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        assert info.value.args == exc.args
+        assert_no_child_left()
+
+    def test_parent_exception_when_the_child_succeeds(self):
+        with pytest.raises(KeyError, match="second"):
+            _in_two_processes(_raise_if, (None,), (KeyError("second"),))
+        assert_no_child_left()
+
+    def test_child_without_a_result(self):
+        with pytest.raises(ValueError, match="exit code 3 and no result"):
+            _in_two_processes(_exit_in_child, (3,), (0,))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("config", ["ac_stark.json", "raman.json"])
+    def test_run_csvs_match_in_process_writes(self, tmp_path, capsys, config):
+        result = run_scenario(load_scenario(CONFIG_DIR / config))
+        emit_csv(result.exact, tmp_path / "exact.csv")
+        emit_csv(result.effective, tmp_path / "effective.csv")
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIG_DIR / config), "--out", str(out)]) == 0
+        assert_no_child_left()
+        for name in ("exact.csv", "effective.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("blocked", [("exact.csv",), ("effective.csv",),
+                                         ("exact.csv", "effective.csv")],
+                             ids=["exact", "effective", "both"])
+    def test_unwritable_csv_is_one_line(self, small_config, tmp_path, capsys, blocked):
+        out = tmp_path / "out"
+        for name in blocked:
+            (out / name).mkdir(parents=True)
+        assert main(["run", str(small_config), "--out", str(out)]) == 1
+        assert_no_child_left()
+        named = out / blocked[0]
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 21] Is a directory: {str(named)!r}\n")
+        # the other file is written all the same
+        for name in {"exact.csv", "effective.csv"} - set(blocked):
+            assert (out / name).read_text(encoding="utf-8").startswith("t,")
 
 
 class TestEntryPoint:

@@ -126,9 +126,9 @@ class TestLoadScenario:
                                       "exceeds the RK4 stability limit 2.55"]
 
     def test_memory_budget_boundary_at_d3(self):
-        # raman, d = 3, all outputs: 20 CSV columns; per sample the states
-        # and their symmetrized copy (2 * 16 * 9 bytes) and two records
-        # (2 * 8 * 20 bytes)
+        # raman, d = 3, all outputs: 20 CSV columns; per sample the complex
+        # states and their real coordinates, within 2 * 16 * 9 bytes, and
+        # two records (2 * 8 * 20 bytes)
         per_sample = 2 * 16 * 9 + 2 * 8 * 20
         fits = MEMORY_BUDGET_BYTES // per_sample
         raman = {"kind": "raman", "Omega1": 0.1, "Omega2": 0.1, "omega1": 1.0,
@@ -414,6 +414,18 @@ class TestCompare:
         assert metrics["frequency_difference"] == 0.0
         assert metrics["max_deviation"] == 0.0
         assert metrics["amplitude_ratio"] == 1.0
+
+    def test_amplitude_ratio_null_at_the_rounding_floor(self):
+        # a constant b plus one-ulp noise: the low-pass leaves it a swing of a
+        # few ulps, which is rounding, so there is no ratio to report
+        t = 0.02 * np.arange(10001)
+        noise = np.random.default_rng(3).integers(-1, 2, t.size) * np.spacing(0.7)
+        a = TrajectoryRecord(("t", "rho12_re"), np.column_stack([t, 0.7 + 1e-4 * np.cos(0.1 * t)]))
+        b = TrajectoryRecord(("t", "rho12_re"), np.column_stack([t, 0.7 + noise]))
+        metrics = compare_trajectories(a, b, cutoff=0.5)
+        assert 0 < metrics["amplitude_b"] < 1e-15
+        assert metrics["amplitude_ratio"] is None
+        assert compare_trajectories(b, a, cutoff=0.5)["amplitude_ratio"] < 1e-11
 
     def test_grid_mismatch_rejected(self):
         a = TrajectoryRecord(("t", "rho12_re"), np.column_stack(

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from avgdyn.signals import dft_resolution, dominant_frequency, lowpass_series
+from avgdyn.signals import (AMPLITUDE_FLOOR_EPS, at_rounding_floor, dft_resolution,
+                            dominant_frequency, lowpass_series)
 
 
 class TestDominantFrequency:
@@ -95,3 +96,24 @@ class TestLowpassSeries:
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError, match="positive"):
             lowpass_series(np.ones(64), 0.1, 0.0)
+
+
+class TestRoundingFloor:
+    @pytest.mark.parametrize("n", [64, 10001, 200001])
+    @pytest.mark.parametrize("level", [1e-3, 0.5, 0.7, 1e3])
+    def test_constant_plus_rounding_noise_is_at_the_floor(self, n, level):
+        rng = np.random.default_rng(n)
+        x = level + rng.integers(-2, 3, n) * np.spacing(level)
+        y = lowpass_series(x, 0.01, 0.5)
+        swing = (y.max() - y.min()) / 2.0
+        assert at_rounding_floor(swing, y)
+        # well inside the floor: the measurement behind AMPLITUDE_FLOOR_EPS
+        assert swing <= AMPLITUDE_FLOOR_EPS / 8 * np.finfo(float).eps * np.abs(y).max()
+
+    def test_in_band_swing_above_the_floor(self):
+        t = 0.01 * np.arange(10001)
+        y = lowpass_series(0.5 + 1e-12 * np.cos(0.1 * t), 0.01, 0.5)
+        assert not at_rounding_floor((y.max() - y.min()) / 2.0, y)
+
+    def test_zero_series(self):
+        assert at_rounding_floor(0.0, np.zeros(64))
