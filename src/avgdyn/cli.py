@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import pickle
 import sys
@@ -128,14 +127,13 @@ def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     args.out.mkdir(parents=True, exist_ok=True)
     result = run_scenario(cfg)
+    for message in result.warnings:
+        print(f"warning: {message}", file=sys.stderr)
     _in_two_processes(emit_csv, (result.exact, args.out / "exact.csv"),
                       (result.effective, args.out / "effective.csv"))
     report_text = _dumps(result.report)
     (args.out / "report.json").write_text(report_text + "\n", encoding="utf-8")
     print(report_text)
-    if not result.report["validity_ok"]:
-        print("warning: validity ratio >= 1, second-order truncation is "
-              "not justified for this scenario", file=sys.stderr)
     return EXIT_OK
 
 
@@ -190,11 +188,6 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # the propagators' logged warnings carry the prefix of the CLI's own
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("warning: %(message)s"))
-    log = logging.getLogger("avgdyn")
-    log.addHandler(handler)
     try:
         return args.handler(args)
     except ScenarioError as exc:
@@ -207,5 +200,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    finally:
-        log.removeHandler(handler)

@@ -4,12 +4,12 @@ The exact equation i d(rho)/dt = [H(t), rho], the averaged master
 equation of an :class:`~avgdyn.harmonic.EffectiveGenerator` and the Raman
 Bloch system are all linear, dv/dt = L(t) v: :func:`propagate_linear`
 integrates each with one chunked, fixed-step classical RK4, giving
-deterministic trajectories suitable for golden-file comparisons.
+deterministic trajectories suitable for golden-file comparisons.  Nothing
+here logs: a trajectory carries its diagnostics, for the caller to word.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,12 +18,10 @@ import numpy as np
 
 from .fourier import FourierOperator
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian
-from .linalg import POSITIVITY_TOL, hermitian_coordinates, unvectorize, validate_density, vectorize
+from .linalg import hermitian_coordinates, unvectorize, validate_density, vectorize
 
 __all__ = ["TimeGrid", "Trajectory", "propagate_linear", "propagate_exact",
            "propagate_effective"]
-
-logger = logging.getLogger(__name__)
 
 MAX_STEPS = 10_000_000
 # Smallest dt, in units in the last place of the largest |t| on a grid: the
@@ -75,10 +73,12 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled trajectory of exactly Hermitian density matrices on a uniform grid."""
+    """Sampled trajectory of exactly Hermitian density matrices on a uniform
+    grid, with the (t, trace drift) of each renormalization of its trace."""
 
     times: np.ndarray
     states: np.ndarray  # shape (n_samples, d, d)
+    renormalized: tuple[tuple[float, float], ...] = ()
 
     @property
     def dim(self) -> int:
@@ -147,9 +147,9 @@ def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def _renormalize_traces(states, grid: TimeGrid) -> None:
-    """Renormalize in place, with a logged warning, each state whose trace
-    drifted beyond TRACE_RENORM_TOL since the last renormalization.
+def _renormalize_traces(states, grid: TimeGrid) -> tuple[tuple[float, float], ...]:
+    """Renormalize in place each state whose trace drifted beyond TRACE_RENORM_TOL
+    since the last renormalization, and return the (t, drift) of each one.
 
     The equation is linear, so renormalizing a state during propagation
     divides every later state by the same trace.  Scanning one window at a
@@ -157,15 +157,14 @@ def _renormalize_traces(states, grid: TimeGrid) -> None:
     """
     traces = np.einsum("tii->t", states)
     window = _steps_per_chunk(states.shape[1] ** 2, states.dtype)
-    events, scales = [0], [1.0]
+    events, scales, renormalized = [0], [1.0], []
     k = 1
     while k < len(traces):
         drift = np.abs(traces[k:k + window] / scales[-1] - 1.0)
         over = np.flatnonzero(drift > TRACE_RENORM_TOL)
         if over.size:
             j = k + over[0]
-            logger.warning("trace drifted by %.3e at t=%.6g; renormalizing",
-                           drift[over[0]], grid.t0 + grid.dt * j)
+            renormalized.append((grid.t0 + grid.dt * j, float(drift[over[0]])))
             events.append(j)
             scales.append(traces[j])
             k = j + 1
@@ -173,6 +172,7 @@ def _renormalize_traces(states, grid: TimeGrid) -> None:
             k += window
     if len(events) > 1:
         states /= np.repeat(scales, np.diff(events + [len(traces)]))[:, None, None]
+    return tuple(renormalized)
 
 
 def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Trajectory:
@@ -194,15 +194,15 @@ def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Tr
         unit = to_vec[row, k]  # 1, 1j or -1j
         (vecs.real if unit.real else vecs.imag)[:, row] = (unit.real + unit.imag) * x[:, k]
     states = unvectorize(vecs)
-    _renormalize_traces(states, grid)
-    return Trajectory(grid.times(), states)
+    return Trajectory(grid.times(), states, _renormalize_traces(states, grid))
 
 
 def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> Trajectory:
     """Integrate i d(rho)/dt = [H(t), rho] with fixed-step RK4.
 
     H(t) is Hermitian by construction of the HarmonicHamiltonian; the trace
-    is renormalized (and logged) only if it drifts beyond 1e-12.
+    is renormalized only if it drifts beyond 1e-12, and each renormalization
+    is listed in ``Trajectory.renormalized``.
     """
     return _propagate_density(hamiltonian.liouvillian, rho0, grid)
 
@@ -210,12 +210,7 @@ def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> T
 def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid) -> Trajectory:
     """Integrate the averaged master equation with fixed-step RK4.
 
-    The averaged equation is not guaranteed completely positive, so the
-    minimum eigenvalue is monitored along the trajectory and excursions
-    below -POSITIVITY_TOL are logged as warnings, never clamped.
+    The averaged equation is not guaranteed completely positive: the state
+    is never clamped, and ``Trajectory.min_eigenvalues`` measures its dip.
     """
-    traj = _propagate_density(generator.liouvillian, rho0, grid)
-    min_eig = traj.min_eigenvalues.min()
-    if min_eig < -POSITIVITY_TOL:
-        logger.warning("averaged evolution dipped to min eigenvalue %.3e", min_eig)
-    return traj
+    return _propagate_density(generator.liouvillian, rho0, grid)

@@ -24,7 +24,7 @@ from .averaging import validity_ratio
 from .dynamics import (MIN_STEP_ULPS, RK4_STEP_LIMIT, TimeGrid, Trajectory,
                        propagate_effective, propagate_exact)
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
-from .linalg import BLOCH_LABELS, bloch_decompose, upper_triangle, validate_density
+from .linalg import BLOCH_LABELS, POSITIVITY_TOL, bloch_decompose, upper_triangle, validate_density
 from .signals import MIN_SAMPLES, at_rounding_floor, dominant_frequency, lowpass_series
 
 __all__ = [
@@ -235,6 +235,14 @@ def _check_config(data, problems) -> ScenarioConfig | None:
             generator = EffectiveGenerator(hamiltonian)  # rejects drives whose products overflow
         except ValueError as exc:
             problems.append(str(exc))
+    if cutoff is not None and generator is not None and hamiltonian.terms:
+        # the closed form averages with a filter that rejects every drive
+        # frequency and passes every difference of two
+        freqs = [w for _, w in hamiltonian.terms]
+        if not (spread := max(freqs) - min(freqs)) < cutoff <= min(freqs):
+            problems.append(f"cutoff: {cutoff:g} is outside ({spread:g}, {min(freqs):g}]: it "
+                            "must exceed every drive-frequency difference and be at most "
+                            "the smallest drive frequency")
 
     grid = None
     if t_max is not None and dt is not None:
@@ -520,6 +528,7 @@ class RunResult:
     exact: TrajectoryRecord
     effective: TrajectoryRecord
     report: dict
+    warnings: tuple[str, ...]  # one sentence each, in the order they arose
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -529,7 +538,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     The truncation sufficiency condition (validity ratio < 1) is checked
     up front; a violating scenario still runs, flagged in the report.  One
     trajectory is alive at a time: each is reduced to its report
-    diagnostics and its record before the next one is propagated.
+    diagnostics and its record before the next one is propagated.  The
+    result words each warning once, in ``RunResult.warnings``.
     """
     ratio = validity_ratio(cfg.hamiltonian)
     cutoff = cfg.averaging_filter()
@@ -540,15 +550,22 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         "validity_ok": bool(ratio < 1.0),
         "cutoff": cutoff if math.isfinite(cutoff) else None,
     }
-    records = []
+    records, messages = [], []
     for label, propagate, model in (("exact", propagate_exact, cfg.hamiltonian),
                                     ("effective", propagate_effective, cfg.generator)):
         traj = propagate(model, cfg.initial, cfg.grid)
+        messages += [f"trace drifted by {drift:.3e} at t={t:.6g}; renormalizing"
+                     for t, drift in traj.renormalized]
         report[f"purity_drift_{label}"] = float(np.abs(traj.purity - traj.purity[0]).max())
         report[f"min_eigenvalue_{label}"] = float(traj.min_eigenvalues.min())
         records.append(build_record(traj))
         del traj
+    if (min_eig := report["min_eigenvalue_effective"]) < -POSITIVITY_TOL:
+        messages.append(f"averaged evolution dipped to min eigenvalue {min_eig:.3e}")
+    if not report["validity_ok"]:
+        messages.append("validity ratio >= 1, second-order truncation is not justified "
+                        "for this scenario")
     rec_exact, rec_eff = records
     if cfg.compares():
         report["comparison"] = compare_trajectories(rec_exact, rec_eff, cutoff)
-    return RunResult(rec_exact, rec_eff, report)
+    return RunResult(rec_exact, rec_eff, report, tuple(messages))

@@ -50,6 +50,15 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_cutoff_outside_the_modelled_filter_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"kind": "raman", "Omega1": 0.1, "Omega2": 0.1,
+                                    "omega1": 1.0, "omega2": 1.02, "t_max": 20, "dt": 0.02,
+                                    "cutoff": 0.01}), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cutoff: 0.01 is outside (0.02, 1]") and err.count("\n") == 1
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
@@ -219,7 +228,7 @@ class TestRun:
 
     def test_positivity_warning_is_prefixed(self, tmp_path, capsys):
         # the averaged Raman state leaves the positive cone within t = 20; the
-        # propagator logs that, and the CLI prints it as one of its warnings
+        # run result words that, and the CLI prints it as one of its warnings
         path = tmp_path / "raman.json"
         path.write_text(json.dumps({"kind": "raman", "Omega1": 0.1, "Omega2": 0.1,
                                     "omega1": 1.0, "omega2": 1.02, "t_max": 20, "dt": 0.02}),
@@ -228,6 +237,20 @@ class TestRun:
         assert capsys.readouterr().err == (
             "warning: averaged evolution dipped to min eigenvalue -1.933e-04\n")
         assert not logging.getLogger("avgdyn").handlers
+
+    def test_warnings_printed_once_and_nothing_logged(self, tmp_path, capsys, caplog):
+        # Omega = 1.5: the averaged state dips and the validity ratio is >= 1
+        path = tmp_path / "strong_raman.json"
+        path.write_text(json.dumps({"kind": "raman", "Omega1": 1.5, "Omega2": 1.5,
+                                    "omega1": 1.0, "omega2": 1.02, "t_max": 20, "dt": 0.005}),
+                        encoding="utf-8")
+        with caplog.at_level(logging.DEBUG, logger="avgdyn"):
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert caplog.records == []
+        assert capsys.readouterr().err == (
+            "warning: averaged evolution dipped to min eigenvalue -3.556e-04\n"
+            "warning: validity ratio >= 1, second-order truncation is not justified "
+            "for this scenario\n")
 
     def test_large_entries_run(self, tmp_path):
         # Hermitian, with H(t) entries of 1e7: rounding in H(t) - H(t)^dagger

@@ -1,5 +1,3 @@
-import logging
-import re
 from functools import cached_property
 
 import numpy as np
@@ -49,11 +47,6 @@ def commutator_rhs(hamiltonian):
         h = hamiltonian.evaluate(t)
         return -1j * (h @ rho - rho @ h)
     return rhs
-
-
-def renormalized_times(caplog):
-    return [re.search(r"at t=(\S+);", r.getMessage()).group(1)
-            for r in caplog.records if r.getMessage().startswith("trace drifted")]
 
 
 class LeakyGenerator(EffectiveGenerator):
@@ -249,16 +242,15 @@ class TestAgainstPerStepLoop:
         assert rows.dtype == np.float64
         assert np.abs(rows - want).max() < 1e-13
 
-    def test_leaking_trace_renormalized_at_the_same_steps(self, caplog):
+    def test_leaking_trace_renormalized_at_the_same_steps(self):
         rng = np.random.default_rng(12)
         gen = LeakyGenerator(random_harmonic(rng, 2, 2, strength=0.2))
         rho0 = random_density(rng, 2)
         grid = grid_with_steps(2 * _steps_per_chunk(4, float) + 7, 0.01)
         want, want_times = reference_rk4(gen.master_rhs, rho0, grid, renormalize=True)
-        with caplog.at_level(logging.WARNING, logger="avgdyn.dynamics"):
-            traj = propagate_effective(gen, rho0, grid)
+        traj = propagate_effective(gen, rho0, grid)
         assert len(want_times) > grid.n_steps // 4
-        assert renormalized_times(caplog) == want_times
+        assert [f"{t:.6g}" for t, _ in traj.renormalized] == want_times
         assert np.abs(traj.states - want).max() < 1e-13
 
 

@@ -1,10 +1,13 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avgdyn.scenarios
+from avgdyn.averaging import generator_series
 from avgdyn.dynamics import TimeGrid, Trajectory, propagate_effective
 from avgdyn.harmonic import EffectiveGenerator
 from avgdyn.linalg import BLOCH_LABELS, bloch_decompose, hermitian_coordinates
@@ -27,6 +30,9 @@ from util import csv_reference, random_density, random_harmonic
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 AC_MINIMAL = {"kind": "ac_stark", "b": 0.3, "t_max": 200, "dt": 0.01}
+# configs/raman.json's drives: the closed form models cutoffs in (0.02, 1]
+RAMAN = {"kind": "raman", "Omega1": 0.1, "Omega2": 0.1, "omega1": 1.0, "omega2": 1.02,
+         "t_max": 20, "dt": 0.02}
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -168,6 +174,31 @@ class TestLoadScenario:
         assert len(columns) == 3 + d * d + 8 * (d == 3)
         assert _bytes_per_sample(d) == 2 * 16 * d * d + 2 * 8 * len(columns)
 
+    @pytest.mark.parametrize("cutoff", [0.01, 1.01])
+    def test_cutoff_outside_the_modelled_filter_rejected(self, cutoff):
+        # the closed form assumes a filter that rejects every drive frequency
+        # and passes every difference: max|w_n - w_m| < cutoff <= min w_n
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(dict(RAMAN, cutoff=cutoff))
+        assert err.value.problems == [
+            f"cutoff: {cutoff:g} is outside (0.02, 1]: it must exceed every drive-frequency "
+            "difference and be at most the smallest drive frequency"]
+
+    @pytest.mark.parametrize("cutoff", [0.021, 1.0])
+    def test_accepted_cutoff_series_matches_the_closed_form(self, cutoff):
+        # at 0.01 and 1.01 the order-<=2 series differs by 2.5e-3 and 5.0e-2
+        cfg = scenario_from_dict(dict(RAMAN, cutoff=cutoff))
+        series = generator_series(cfg.hamiltonian.as_fourier(), cfg.averaging_filter(), 0.0, 2)
+        engine = sum(m.evaluate(0.3) for m in series.maps)
+        closed_form = 1j * cfg.generator.liouvillian.evaluate(0.3)
+        assert np.abs(engine - closed_form).max() <= 1e-15
+
+    def test_any_cutoff_accepted_without_drives(self):
+        cfg = scenario_from_dict({"kind": "custom_harmonic", "h0": [[0.1, 0], [0, -0.1]],
+                                  "terms": [], "initial": [[1, 0], [0, 0]], "t_max": 20,
+                                  "dt": 0.01, "cutoff": 123.0})
+        assert cfg.averaging_filter() == 123.0
+
     def test_shipped_configs_are_valid(self):
         for path in sorted(CONFIG_DIR.glob("*.json")):
             cfg = load_scenario(path)
@@ -229,6 +260,29 @@ class TestRunScenario:
         assert result.report["validity_ratio"] >= 1.0
         assert result.report["validity_ok"] is False
         assert result.exact.data.shape[0] == cfg.grid.n_steps + 1
+
+    def test_positivity_warning(self):
+        result = run_scenario(scenario_from_dict(RAMAN))
+        assert result.warnings == ("averaged evolution dipped to min eigenvalue -1.933e-04",)
+
+    def test_warnings_in_the_order_they_arise(self):
+        cfg = scenario_from_dict(dict(RAMAN, Omega1=1.5, Omega2=1.5, dt=0.005))
+        assert run_scenario(cfg).warnings == (
+            "averaged evolution dipped to min eigenvalue -3.556e-04",
+            "validity ratio >= 1, second-order truncation is not justified for this scenario")
+
+    def test_renormalizations_worded_exact_first(self, monkeypatch):
+        # no shipped config drifts; each propagator here reports one renormalization
+        def renormalizing(propagate, event):
+            return lambda *args: replace(propagate(*args), renormalized=(event,))
+
+        for name, event in (("propagate_exact", (1.0, 2e-12)),
+                            ("propagate_effective", (0.25, 3.5e-12))):
+            monkeypatch.setattr(avgdyn.scenarios, name,
+                                renormalizing(getattr(avgdyn.scenarios, name), event))
+        result = run_scenario(scenario_from_dict(dict(AC_MINIMAL, t_max=10)))
+        assert result.warnings == ("trace drifted by 2.000e-12 at t=1; renormalizing",
+                                   "trace drifted by 3.500e-12 at t=0.25; renormalizing")
 
     def test_record_row_count_matches_grid(self):
         cfg = scenario_from_dict(dict(AC_MINIMAL, t_max=10))
