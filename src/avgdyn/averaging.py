@@ -1,11 +1,16 @@
 """Dyson expansion and the superoperator series of time-averaged evolution.
 
-Expanding the evolution operator in powers of the drive (U = sum_n U_n,
-with i dU_n/dt = H U_{n-1} and U_0 = I) and averaging each sandwich
-U_{k-j} rho U_j† with an ideal low-pass kernel gives the forward maps
-from the initial state to the averaged state, order by order.  Inverting
-that series and differentiating in time yields the generators of the
-averaged state's equation of motion:
+The evolution map rho0 -> rho(t) = U rho0 U† is expanded in powers of the
+drive by the Dyson recursion on the lifted generator,
+i d𝒰_n/dt = [H, 𝒰_{n-1}(·)] with 𝒰_0 the identity.  In the operator Dyson
+terms U_n of H (i dU_n/dt = H U_{n-1}) this is
+
+    𝒰_k[rho] = sum_j U_{k-j} rho U_j†,
+
+the products the paper averages.  Averaging each 𝒰_k with an ideal
+low-pass kernel gives the forward maps from the initial state to the
+averaged state, order by order.  Inverting that series and differentiating
+in time yields the generators of the averaged state's equation of motion:
 
     i d(rho_avg)/dt = sum_k  L_k[rho_avg]
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierOperator, fourier_sum, lowpass_average, sandwich
+from .fourier import FourierOperator, commutator, fourier_sum, lowpass_average
 from .harmonic import HarmonicHamiltonian
 from .linalg import unvectorize, vectorize
 
@@ -42,11 +47,12 @@ VALIDITY_SAMPLES = 512
 
 
 def dyson_terms(hamiltonian: FourierOperator, t0, order) -> list[FourierOperator]:
-    """Dyson terms U_1 .. U_order for the given Hamiltonian, from time t0.
+    """Dyson terms U_1 .. U_order of the generator H, from time t0.
 
     Each term solves i dU_n/dt = H U_{n-1} with U_n(t0) = 0, integrated
-    analytically on the t**p * exp(i nu t) factors.  The Hamiltonian must
-    be trigonometric (no polynomial-in-t terms).
+    analytically on the t**p * exp(i nu t) factors.  H is a Hamiltonian,
+    or its lift to superoperators; it must be trigonometric (no
+    polynomial-in-t terms).
     """
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise ValueError(f"order must be an integer, got {order!r}")
@@ -67,7 +73,6 @@ def dyson_terms(hamiltonian: FourierOperator, t0, order) -> list[FourierOperator
 class SuperoperatorSeries:
     """Per-order superoperator-valued Fourier sums acting on vectorized states."""
 
-    dim: int
     maps: tuple[FourierOperator, ...]
 
     def apply(self, k, rho, t) -> np.ndarray:
@@ -78,27 +83,26 @@ class SuperoperatorSeries:
 def forward_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeries:
     """Maps sending the initial state to the averaged state, order by order.
 
-    Order k is sum_{j=0..k} avg(U_{k-j} rho U_j†), with the ideal low-pass
-    at ``cutoff`` applied to the full Fourier expansion of each sandwich.
-    Order 0 is the identity map.
+    Order k is avg(𝒰_k): the ideal low-pass at ``cutoff`` applied to the
+    k-th Dyson term of the lifted generator, which solves
+    i d𝒰_n/dt = [H, 𝒰_{n-1}(·)] with 𝒰_n(t0) = 0.  Order 0 is the
+    identity map.
     """
-    us = [FourierOperator.identity(hamiltonian.dim), *dyson_terms(hamiltonian, t0, order)]
-    uds = [u.dagger() for u in us]
-    maps = tuple(fourier_sum(lowpass_average(sandwich(us[k - j], uds[j]), cutoff)
-                             for j in range(k + 1)) for k in range(order + 1))
-    return SuperoperatorSeries(hamiltonian.dim, maps)
+    us = [FourierOperator.identity(hamiltonian.dim ** 2),
+          *dyson_terms(commutator(hamiltonian), t0, order)]
+    return SuperoperatorSeries(tuple(lowpass_average(u, cutoff) for u in us))
 
 
 def inverse_series(forward: SuperoperatorSeries) -> SuperoperatorSeries:
     """Series inverse of the forward maps: composed order by order they
     give the identity at order 0 and zero at every higher order."""
-    ident = FourierOperator.identity(forward.dim ** 2)
+    ident = FourierOperator.identity(forward.maps[0].dim)
     if (forward.maps[0] - ident).max_abs() > 1e-12:
         raise ValueError("order-0 forward map must be the identity")
     maps = [ident]
     for n in range(1, len(forward.maps)):
         maps.append(-fourier_sum(maps[j] @ forward.maps[n - j] for j in range(n)))
-    return SuperoperatorSeries(forward.dim, tuple(maps))
+    return SuperoperatorSeries(tuple(maps))
 
 
 def generator_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeries:
@@ -113,7 +117,7 @@ def generator_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeri
     rates = [m.differentiate() for m in fwd.maps]
     maps = tuple(1j * fourier_sum(rates[k - j] @ inv.maps[j] for j in range(k + 1))
                  for k in range(order + 1))
-    return SuperoperatorSeries(hamiltonian.dim, maps)
+    return SuperoperatorSeries(maps)
 
 
 def validity_ratio(hamiltonian: HarmonicHamiltonian) -> float:

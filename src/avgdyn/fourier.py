@@ -5,18 +5,16 @@ A :class:`FourierOperator` is a finite sum of terms
     coeff * t**p * exp(1j * nu * t)
 
 with constant matrix coefficients.  The class is closed under addition,
-products, Hermitian conjugation, differentiation and antidifferentiation,
-which is everything the Dyson recursion needs.  Time averaging with an
-ideal low-pass kernel acts term by term: components at or above the
-cutoff frequency are deleted, components below it pass unchanged
-(including any secular t**p factor, whose shift under a unit-area even
-kernel is negligible when the drive frequencies are well separated from
-the pass band).
+products, differentiation and antidifferentiation, which is everything
+the Dyson recursion needs.  Time averaging with an ideal low-pass kernel
+acts term by term: components at or above the cutoff frequency are
+deleted, components below it pass unchanged (including any secular t**p
+factor, whose shift under a unit-area even kernel is negligible when the
+drive frequencies are well separated from the pass band).
 
 Superoperator-valued sums reuse the same class with ``d**2 x d**2``
-coefficients; :func:`sandwich` lifts a pair of operator sums to the
-superoperator sum of the map rho -> L(t) rho R(t), and :func:`commutator`
-lifts H(t) to the sum of rho -> [H(t), rho].
+coefficients; :func:`commutator` lifts H(t) to the sum of
+rho -> [H(t), rho].
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ __all__ = [
     "FourierOperator",
     "fourier_sum",
     "lowpass_average",
-    "sandwich",
     "commutator",
 ]
 
@@ -83,13 +80,6 @@ def _operator(dim, coeffs, nus, ps):
 def _concat(dim, *parts):
     """Operator holding the terms of every (coeffs, nus, ps) part."""
     return _operator(dim, *(np.concatenate(arrays) for arrays in zip(*parts)))
-
-
-def _pairs(left, right, coeffs, dim):
-    """Operator of the (left, right) term-pair ``coeffs``, left outermost; nus and ps add."""
-    nus = left._nus[:, None] + right._nus[None, :]
-    ps = left._ps[:, None] + right._ps[None, :]
-    return _operator(dim, coeffs.reshape(-1, dim, dim), nus.ravel(), ps.ravel())
 
 
 class FourierOperator:
@@ -160,10 +150,10 @@ class FourierOperator:
         if not isinstance(other, FourierOperator):
             return NotImplemented
         self._require_same_dim(other)
-        return _pairs(self, other, self._coeffs[:, None] @ other._coeffs[None, :], self.dim)
-
-    def dagger(self):
-        return _operator(self.dim, self._coeffs.conj().transpose(0, 2, 1), -self._nus, self._ps)
+        coeffs = self._coeffs[:, None] @ other._coeffs[None, :]
+        nus = self._nus[:, None] + other._nus[None, :]
+        ps = self._ps[:, None] + other._ps[None, :]
+        return _operator(self.dim, coeffs.reshape(-1, self.dim, self.dim), nus.ravel(), ps.ravel())
 
     def differentiate(self):
         c, nus, ps = self._coeffs, self._nus, self._ps
@@ -232,17 +222,6 @@ def lowpass_average(f: FourierOperator, cutoff: float) -> FourierOperator:
         raise ValueError("cutoff must be positive")
     keep = np.abs(f._nus) < cutoff
     return _operator(f.dim, f._coeffs[keep], f._nus[keep], f._ps[keep])
-
-
-def sandwich(left: FourierOperator, right: FourierOperator) -> FourierOperator:
-    """Superoperator-valued sum of the map rho -> left(t) @ rho @ right(t).
-
-    Every pair of terms is lifted with :func:`~avgdyn.linalg.superop`, left
-    terms outermost; frequencies and powers add.
-    """
-    left._require_same_dim(right)
-    return _pairs(left, right, superop(left._coeffs[:, None], right._coeffs[None, :]),
-                  left.dim * left.dim)
 
 
 def commutator(h: FourierOperator) -> FourierOperator:

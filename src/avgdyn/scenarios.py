@@ -235,12 +235,15 @@ def _check_config(data, problems) -> ScenarioConfig | None:
             generator = EffectiveGenerator(hamiltonian)  # rejects drives whose products overflow
         except ValueError as exc:
             problems.append(str(exc))
-    if cutoff is not None and generator is not None and hamiltonian.terms:
+    if generator is not None and hamiltonian.terms:
         # the closed form averages with a filter that rejects every drive
-        # frequency and passes every difference of two
+        # frequency and passes every difference of two; the run's cutoff,
+        # configured or default, must be one
         freqs = [w for _, w in hamiltonian.terms]
-        if not (spread := max(freqs) - min(freqs)) < cutoff <= min(freqs):
-            problems.append(f"cutoff: {cutoff:g} is outside ({spread:g}, {min(freqs):g}]: it "
+        used = default_filter(hamiltonian) if cutoff is None else cutoff
+        if not (spread := max(freqs) - min(freqs)) < used <= min(freqs):
+            name = f"{used:g}" if cutoff is not None else f"the default {used:g}"
+            problems.append(f"cutoff: {name} is outside ({spread:g}, {min(freqs):g}]: it "
                             "must exceed every drive-frequency difference and be at most "
                             "the smallest drive frequency")
 

@@ -14,7 +14,7 @@ from avgdyn.averaging import (
 from avgdyn.fourier import FourierOperator, lowpass_average
 from avgdyn.harmonic import HarmonicHamiltonian, default_filter
 from avgdyn.linalg import superop
-from util import random_complex, random_density, random_harmonic, random_hermitian
+from util import adjoint, random_complex, random_density, random_harmonic, random_hermitian
 
 T0 = 0.3
 
@@ -75,7 +75,7 @@ class TestDysonTerms:
         rng = np.random.default_rng(3)
         ham = random_harmonic(rng, 3, 2, strength=0.2)
         us = [FourierOperator.identity(3)] + dyson_terms(ham.as_fourier(), T0, 3)
-        uds = [u.dagger() for u in us]
+        uds = [adjoint(u) for u in us]
         for k in range(1, 4):
             acc = FourierOperator(3)
             for j in range(k + 1):
@@ -119,26 +119,27 @@ class TestForwardSeries:
             want = u1_avg.evaluate(t) @ rho + rho @ u1_avg.evaluate(t).conj().T
             assert_allclose(fwd.apply(1, rho, t), want, atol=1e-13)
 
-    def test_second_order_against_term_expansion(self):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_order_against_term_expansion(self, k):
         rng = np.random.default_rng(7)
         ham = random_harmonic(rng, 2, 2, strength=0.3)
         cutoff = default_filter(ham)
         hf = ham.as_fourier()
-        fwd = forward_series(hf, cutoff, T0, 2)
-        us = [FourierOperator.identity(2)] + dyson_terms(hf, T0, 2)
-        uds = [u.dagger() for u in us]
+        fwd = forward_series(hf, cutoff, T0, k)
+        us = [FourierOperator.identity(2)] + dyson_terms(hf, T0, k)
+        uds = [adjoint(u) for u in us]
         rho = random_density(rng, 2)
         for t in (0.6, 2.4):
             direct = np.zeros((2, 2), dtype=complex)
-            for j in range(3):
-                for a, na, pa in us[2 - j].terms:
+            for j in range(k + 1):
+                for a, na, pa in us[k - j].terms:
                     for b, nb, pb in uds[j].terms:
                         nu = na + nb
                         if abs(nu) <= 1e-12:
                             nu = 0.0
                         if abs(nu) < cutoff:
                             direct += (a @ rho @ b) * (t ** (pa + pb) * np.exp(1j * nu * t))
-            assert_allclose(fwd.apply(2, rho, t), direct, atol=1e-13)
+            assert_allclose(fwd.apply(k, rho, t), direct, atol=1e-13)
 
     def test_trace_annihilated_above_order_zero(self):
         rng = np.random.default_rng(8)
@@ -175,7 +176,7 @@ class TestInverseSeries:
                 assert series_norm_at(acc, t) < 1e-10
 
     def test_requires_identity_order_zero(self):
-        bad = SuperoperatorSeries(2, (FourierOperator.constant(2 * np.eye(4)),))
+        bad = SuperoperatorSeries((FourierOperator.constant(2 * np.eye(4)),))
         with pytest.raises(ValueError, match="identity"):
             inverse_series(bad)
 
@@ -185,7 +186,7 @@ def l2_direct(ham, cutoff, t0, rho, t):
     sandwich averages expanded term by term on plain matrices."""
     hf = ham.as_fourier()
     u1 = dyson_terms(hf, t0, 1)[0]
-    u1d = u1.dagger()
+    u1d = adjoint(u1)
     avg = lambda f: lowpass_average(f, cutoff)
 
     def avg_sandwich(left, right):
@@ -284,6 +285,10 @@ class TestGeneratorSeries:
                 assert abs(np.trace(out)) < 1e-11
                 img = out / 1j
                 assert np.abs(img - img.conj().T).max() < 1e-11
+                # secular-free: every t**p (p > 0) coefficient is at the rounding floor
+                secular = max((np.abs(c).max() for c, _, p in gen.maps[k].terms if p > 0),
+                              default=0.0)
+                assert secular <= 1e-13 * gen.maps[k].max_abs()
 
 
 class TestValidityRatio:

@@ -59,6 +59,21 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: cutoff: 0.01 is outside (0.02, 1]") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["validate", "derive", "run"])
+    def test_default_cutoff_outside_the_modelled_filter_is_one_line(self, tmp_path, capsys,
+                                                                     command):
+        # drives 2 apart: the default cutoff 0.5 would reject their difference
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"kind": "raman", "Omega1": 0.1, "Omega2": 0.1,
+                                    "omega1": 1.0, "omega2": 3.0, "t_max": 400, "dt": 0.02}),
+                        encoding="utf-8")
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), *out]) == 1
+        assert capsys.readouterr().err == (
+            "error: cutoff: the default 0.5 is outside (2, 1]: it must exceed every "
+            "drive-frequency difference and be at most the smallest drive frequency\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from avgdyn.fourier import FourierOperator, commutator, fourier_sum, lowpass_average, sandwich
-from avgdyn.linalg import superop, unvectorize, vectorize
+from avgdyn.fourier import FourierOperator, commutator, fourier_sum, lowpass_average
+from avgdyn.linalg import superop
 from util import antiderivative_terms, merge_terms, random_complex, random_harmonic
 
 
@@ -53,12 +53,6 @@ class TestTermAlgebra:
         for t in (-1.7, 0.0, 0.4, 2.9):
             direct = sum(c * t**p * np.exp(1j * nu * t) for c, nu, p in terms)
             assert_allclose(f.evaluate(t), direct, atol=1e-14)
-
-    def test_dagger(self):
-        rng = np.random.default_rng(2)
-        f = single(random_complex(rng, 2), 1.1, 1) + single(random_complex(rng, 2), -0.3)
-        for t in (0.2, 1.9):
-            assert_allclose(f.dagger().evaluate(t), f.evaluate(t).conj().T, atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -201,26 +195,6 @@ class TestLowpass:
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError, match="cutoff must be positive"):
             lowpass_average(single(np.eye(2), 0.0), 0.0)
-
-
-class TestSandwich:
-    def test_phases_add(self):
-        rng = np.random.default_rng(8)
-        a, b = random_complex(rng, 2), random_complex(rng, 2)
-        s = sandwich(single(a, 1.0, 1), single(b, -0.4, 2))
-        assert len(s.terms) == 1
-        assert s.terms[0].nu == 0.6 and s.terms[0].p == 3
-
-    def test_apply_matches_direct(self):
-        rng = np.random.default_rng(9)
-        left = single(random_complex(rng, 3), 0.8) + single(random_complex(rng, 3), 0.0, 1)
-        right = single(random_complex(rng, 3), -1.1)
-        rho = random_complex(rng, 3)
-        s = sandwich(left, right)
-        for t in (0.0, 0.9, 4.2):
-            got = unvectorize(s.evaluate(t) @ vectorize(rho))
-            want = left.evaluate(t) @ rho @ right.evaluate(t)
-            assert_allclose(got, want, atol=1e-13)
 
 
 class TestCommutator:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from avgdyn.fourier import FREQUENCY_MERGE_TOL
+from avgdyn.fourier import FREQUENCY_MERGE_TOL, FourierOperator
 from avgdyn.harmonic import HarmonicHamiltonian
 
 
@@ -53,6 +53,12 @@ def merge_terms(terms):
             groups.append([c.copy(), nu, p])
         prev = (p, nu)
     return [(c, nu, p) for c, nu, p in groups if np.any(c != 0)]
+
+
+def adjoint(op):
+    """Per-term reference for the Hermitian adjoint of a FourierOperator:
+    each term (c, nu, p) becomes (c†, -nu, p)."""
+    return FourierOperator(op.dim, [(c.conj().T, -nu, p) for c, nu, p in op.terms])
 
 
 def antiderivative_terms(terms):
