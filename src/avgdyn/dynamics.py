@@ -73,19 +73,27 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled trajectory of exactly Hermitian density matrices on a uniform
-    grid, with the (t, trace drift) of each renormalization of its trace."""
+    """Density matrices sampled on a uniform grid, held as the real coordinates x they
+    were propagated in, and the (t, trace drift) of each renormalization of their trace."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (n_samples, d, d)
+    coords: np.ndarray  # shape (n_samples, d**2)
     renormalized: tuple[tuple[float, float], ...] = ()
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return math.isqrt(self.coords.shape[1])
 
-    def entry(self, i, j) -> np.ndarray:
-        return self.states[:, i, j]
+    @property
+    def states(self) -> np.ndarray:
+        """The (n_samples, d, d) states, exactly Hermitian, copied from x on each access:
+        uncached, they are held together with x only while a diagnostic reads them."""
+        to_vec, _ = hermitian_coordinates(self.dim)
+        flat = np.zeros((len(self.coords), len(to_vec)), dtype=complex)
+        for part, units in ((flat.real, to_vec.real), (flat.imag, to_vec.imag)):
+            for row, k in zip(*np.nonzero(units)):  # each unit 1 or -1
+                part[:, row] = units[row, k] * self.coords[:, k]
+        return unvectorize(flat)
 
     # computed once: a run reads each diagnostic for its CSV and its report
     @cached_property
@@ -147,20 +155,21 @@ def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def _renormalize_traces(states, grid: TimeGrid) -> tuple[tuple[float, float], ...]:
-    """Renormalize in place each state whose trace drifted beyond TRACE_RENORM_TOL
-    since the last renormalization, and return the (t, drift) of each one.
+def _renormalize_traces(x, d, grid: TimeGrid) -> tuple[tuple[float, float], ...]:
+    """Renormalize in place each state of ``x`` whose trace, its first d coordinates'
+    sum, drifted beyond TRACE_RENORM_TOL since the last renormalization, and return
+    the (t, drift) of each one.
 
     The equation is linear, so renormalizing a state during propagation
-    divides every later state by the same trace.  Scanning one window at a
-    time keeps the cost linear even when renormalization is frequent.
+    scales every later state by the same reciprocal trace.  Scanning one
+    window at a time keeps the cost linear even when renormalization is frequent.
     """
-    traces = np.einsum("tii->t", states)
-    window = _steps_per_chunk(states.shape[1] ** 2, states.dtype)
+    traces = x[:, :d].sum(axis=1)
+    window = _steps_per_chunk(x.shape[1], x.dtype)
     events, scales, renormalized = [0], [1.0], []
     k = 1
     while k < len(traces):
-        drift = np.abs(traces[k:k + window] / scales[-1] - 1.0)
+        drift = np.abs(traces[k:k + window] * (1.0 / scales[-1]) - 1.0)
         over = np.flatnonzero(drift > TRACE_RENORM_TOL)
         if over.size:
             j = k + over[0]
@@ -171,13 +180,13 @@ def _renormalize_traces(states, grid: TimeGrid) -> tuple[tuple[float, float], ..
         else:
             k += window
     if len(events) > 1:
-        states /= np.repeat(scales, np.diff(events + [len(traces)]))[:, None, None]
+        x *= np.repeat(1.0 / np.array(scales), np.diff(events + [len(traces)]))[:, None]
     return tuple(renormalized)
 
 
 def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Trajectory:
-    """Propagate a density matrix under ``liouvillian``, which must be real in the
-    coordinates of :func:`~avgdyn.linalg.hermitian_coordinates`; renormalize its trace."""
+    """Propagate a density matrix as its real coordinates x, in which ``liouvillian``
+    must be real (:func:`~avgdyn.linalg.hermitian_coordinates`); renormalize its trace."""
     if failures := validate_density(rho0):
         raise ValueError("not a density matrix: " + "; ".join(failures))
     if liouvillian.dim != np.size(rho0):
@@ -187,14 +196,9 @@ def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Tr
     conj = FourierOperator(real.dim, [(c.conj(), -nu, p) for c, nu, p in real.terms])
     if (imag := (real - conj).max_abs() / 2.0) > HERMITICITY_TOL * real.max_abs():
         raise ValueError(f"generator not Hermiticity-preserving: imaginary part {imag:.3e}")
-    vecs = np.zeros((grid.n_steps + 1, to_vec.shape[0]), dtype=complex)
     x = propagate_linear(lambda ts: real.evaluate(ts).real, (from_vec @ vectorize(rho0)).real,
                          grid)
-    for row, k in zip(*np.nonzero(to_vec)):
-        unit = to_vec[row, k]  # 1, 1j or -1j
-        (vecs.real if unit.real else vecs.imag)[:, row] = (unit.real + unit.imag) * x[:, k]
-    states = unvectorize(vecs)
-    return Trajectory(grid.times(), states, _renormalize_traces(states, grid))
+    return Trajectory(grid.times(), x, _renormalize_traces(x, len(rho0), grid))
 
 
 def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> Trajectory:

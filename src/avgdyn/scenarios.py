@@ -53,10 +53,10 @@ KINDS = tuple(_KIND_KEYS)
 # memory of writing a record independently of its length.
 CSV_BLOCK_VALUES = 16 * 1024
 # Largest estimate of the arrays a run holds, in bytes (2 GiB).  A run keeps
-# one trajectory's complex states and their real coordinates (16 + 8 bytes
-# per entry, within 2 * 16) and the two records, so a grid of n_samples needs
-# at most n_samples * (2 * 16 * d**2 + 2 * 8 * c) bytes for c CSV columns;
-# larger grids are rejected at validation.
+# one trajectory's real coordinates, the complex states a diagnostic builds
+# from them (8 + 16 bytes per entry, within 2 * 16) and the two records, so a
+# grid of n_samples needs at most n_samples * (2 * 16 * d**2 + 2 * 8 * c)
+# bytes for c CSV columns; larger grids are rejected at validation.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -343,20 +343,15 @@ def _record_columns(d) -> tuple[str, ...]:
 
 
 def _bytes_per_sample(d) -> int:
-    """Bytes a run holds per grid sample: twice one trajectory's complex states
-    (they are copied from real coordinates) and the two records' float rows."""
+    """Bytes a run holds per grid sample: twice one trajectory's complex states (its
+    real coordinates and the states built from them) and the two records' rows."""
     return 2 * 16 * d * d + 2 * 8 * len(_record_columns(d))
 
 
 def build_record(traj: Trajectory) -> TrajectoryRecord:
     """Tabulate a trajectory in the columns of :func:`_record_columns`."""
-    series = [traj.times]
-    for i, j in upper_triangle(traj.dim):
-        entry = traj.entry(i, j)
-        series += [entry.real] + ([entry.imag] if i != j else [])
-    if traj.dim == 3:
-        series += list(bloch_decompose(traj.states).T)
-    series += [traj.purity, traj.min_eigenvalues]
+    bloch = [bloch_decompose(traj.states)] if traj.dim == 3 else []
+    series = [traj.times, traj.coords, *bloch, traj.purity, traj.min_eigenvalues]
     return TrajectoryRecord(_record_columns(traj.dim), np.column_stack(series))
 
 

@@ -52,8 +52,8 @@ def test_criterion_02_ac_stark_frequency_correspondence():
     effective = a.propagate_effective(a.EffectiveGenerator(ham), PLUS, grid)
     dt = grid.dt
     cutoff = a.default_filter(ham)
-    sig_ex = a.lowpass_series(exact.entry(0, 1).real, dt, cutoff)
-    sig_ef = a.lowpass_series(effective.entry(0, 1).real, dt, cutoff)
+    sig_ex = a.lowpass_series(exact.states[:, 0, 1].real, dt, cutoff)
+    sig_ef = a.lowpass_series(effective.states[:, 0, 1].real, dt, cutoff)
     f_ex = a.dominant_frequency(sig_ex, dt)
     f_ef = a.dominant_frequency(sig_ef, dt)
     resolution = a.dft_resolution(sig_ex.size, dt)

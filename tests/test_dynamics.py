@@ -16,6 +16,7 @@ from avgdyn.dynamics import (
 from avgdyn.fourier import FourierOperator
 from avgdyn.harmonic import EffectiveGenerator, HarmonicHamiltonian
 from avgdyn.raman import RamanParams, bloch_matrix, integrate_bloch, raman_coefficients
+from avgdyn.scenarios import build_record
 from avgdyn.signals import dominant_frequency
 from util import random_density, random_harmonic, random_hermitian
 
@@ -109,7 +110,7 @@ class TestPropagateExact:
         grid = TimeGrid(0, 20, 0.01)
         traj = propagate_exact(h, rho0, grid)
         want = rho0[0, 1] * np.exp(-1j * (e1 - e2) * traj.times)
-        assert_allclose(traj.entry(0, 1), want, atol=1e-9)
+        assert_allclose(traj.states[:, 0, 1], want, atol=1e-9)
 
     def test_ac_stark_against_rotating_frame_exponential(self):
         omega_rabi, delta = 0.3, 1.0
@@ -166,7 +167,7 @@ class TestPropagateEffective:
         h[1, 0] = 0.15
         gen = EffectiveGenerator(HarmonicHamiltonian(np.zeros((2, 2)), ((h, 1.0),)))
         traj = propagate_effective(gen, PLUS, TimeGrid(0, 2000, 0.05))
-        freq = dominant_frequency(traj.entry(0, 1).real, 0.05)
+        freq = dominant_frequency(traj.states[:, 0, 1].real, 0.05)
         assert abs(freq - 0.045) < 2 * np.pi / 2000
 
     def test_trajectory_diagnostics_shapes(self):
@@ -267,6 +268,7 @@ def test_states_are_exactly_hermitian(propagate):
         traj = propagate_effective(gen, rho0, grid)
     assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
     assert np.all(np.einsum("tii->ti", traj.states).imag == 0.0)
+    assert build_record(traj).data[:, 1:10].tobytes() == traj.coords.tobytes()
 
 
 class ImaginaryLeakGenerator(LeakyGenerator):

@@ -219,7 +219,7 @@ class TestMasterRhs:
             want = u @ rho0 @ u.conj().T
             assert_allclose(traj.states[idx], want, atol=1e-10)
         # coherence rotates at the effective gap 0.045
-        phase = np.angle(traj.entry(0, 1))
+        phase = np.angle(traj.states[:, 0, 1])
         assert_allclose(phase[1000], -0.045 * traj.times[1000], atol=1e-6)
 
     def test_matches_generator_series_through_second_order(self):
