@@ -121,9 +121,11 @@ def generator_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeri
 
 
 def validity_ratio(hamiltonian: HarmonicHamiltonian) -> float:
-    """Largest instantaneous spectral radius of H(t) over the smallest drive
-    frequency.  Much less than 1 means truncating the generator series at
-    second order is safe; 0 by convention when there is no drive.
+    """Largest instantaneous spectral radius of the traceless part
+    H(t) - tr H(t)/d * 1 over the smallest drive frequency: a global energy
+    offset moves no trajectory, so it does not move the ratio either.  Much
+    less than 1 means truncating the generator series at second order is
+    safe; 0 by convention when there is no drive.
     """
     if not hamiltonian.terms:
         return 0.0
@@ -131,4 +133,5 @@ def validity_ratio(hamiltonian: HarmonicHamiltonian) -> float:
     ts = np.linspace(0.0, 2 * np.pi / w_min, VALIDITY_SAMPLES, endpoint=False)
     h = hamiltonian.as_fourier().evaluate(ts)
     h = (h + h.conj().transpose(0, 2, 1)) / 2.0
+    h -= np.trace(h, axis1=1, axis2=2)[:, None, None] / hamiltonian.dim * np.eye(hamiltonian.dim)
     return float(np.abs(np.linalg.eigvalsh(h)).max()) / w_min

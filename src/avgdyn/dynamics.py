@@ -4,8 +4,11 @@ The exact equation i d(rho)/dt = [H(t), rho], the averaged master
 equation of an :class:`~avgdyn.harmonic.EffectiveGenerator` and the Raman
 Bloch system are all linear, dv/dt = L(t) v: :func:`propagate_linear`
 integrates each with one chunked, fixed-step classical RK4, giving
-deterministic trajectories suitable for golden-file comparisons.  Nothing
-here logs: a trajectory carries its diagnostics, for the caller to word.
+deterministic trajectories suitable for golden-file comparisons.  Density
+matrices are propagated as their real Hermitian coordinates, in which the
+Liouvillian is real: each chunk evaluates it in real arithmetic, as cos/sin
+weights times one real coefficient table (:meth:`FourierOperator.evaluate_real`).
+Nothing here logs: a trajectory carries its diagnostics, for the caller to word.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ MAX_STEPS = 10_000_000
 # times t0 + k * dt then carry each step to a relative rounding of ~1e-6.
 MIN_STEP_ULPS = 2 ** 20
 TRACE_RENORM_TOL = 1e-12
-# Bytes per chunk stack of generator matrices (a density chunk's complex evaluation
-# takes twice that): bounds a propagation's memory independently of its length.
+# Bytes per chunk stack of generator matrices: bounds a propagation's memory
+# independently of its length.
 CHUNK_BYTES = 128 * 1024
 # Largest dt * ||L(t)|| a grid may have.  Classical RK4 is stable for
 # eigenvalues of dt * L(t) on the imaginary axis up to |dt * lambda| = 2*sqrt(2),
@@ -98,11 +101,12 @@ class Trajectory:
     # computed once: a run reads each diagnostic for its CSV and its report
     @cached_property
     def purity(self) -> np.ndarray:
-        return np.einsum("tij,tji->t", self.states, self.states).real
+        states = self.states
+        return np.einsum("tij,tji->t", states, states).real
 
     @cached_property
     def min_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.states)[:, 0]
+        return np.linalg.eigvalsh(self.states)[:, 0].copy()  # not a view pinning all d columns
 
 
 def _steps_per_chunk(size, dtype) -> int:
@@ -196,8 +200,7 @@ def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Tr
     conj = FourierOperator(real.dim, [(c.conj(), -nu, p) for c, nu, p in real.terms])
     if (imag := (real - conj).max_abs() / 2.0) > HERMITICITY_TOL * real.max_abs():
         raise ValueError(f"generator not Hermiticity-preserving: imaginary part {imag:.3e}")
-    x = propagate_linear(lambda ts: real.evaluate(ts).real, (from_vec @ vectorize(rho0)).real,
-                         grid)
+    x = propagate_linear(real.evaluate_real, (from_vec @ vectorize(rho0)).real, grid)
     return Trajectory(grid.times(), x, _renormalize_traces(x, len(rho0), grid))
 
 

@@ -185,6 +185,17 @@ class FourierOperator:
         weights = np.exp((1j * t) * self._nus) * (t ** self._ps)
         return np.einsum("...k,kij->...ij", weights, self._coeffs)
 
+    def evaluate_real(self, t) -> np.ndarray:
+        """Real part of :meth:`evaluate` at a 1-D array of times, in real arithmetic:
+        the weights [cos nu t, sin nu t] * t**p times the stacked coefficient
+        table [Re C; -Im C], one real matrix product."""
+        t = np.asarray(t, dtype=float)[:, None]
+        phases, powers = t * self._nus, t ** self._ps
+        weights = np.concatenate((np.cos(phases) * powers, np.sin(phases) * powers), axis=1)
+        table = np.concatenate((self._coeffs.real, -self._coeffs.imag))
+        values = weights @ table.reshape(len(table), self.dim ** 2)
+        return values.reshape(len(t), self.dim, self.dim)
+
     def norm_bound(self) -> float:
         """Sum of the coefficients' spectral norms: an upper bound on the
         spectral norm of the value at every real t.  Infinite when a term

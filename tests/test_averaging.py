@@ -321,5 +321,18 @@ class TestValidityRatio:
         for t in np.linspace(0.0, 2 * np.pi / w_min, 512, endpoint=False):
             h = hf.evaluate(t)
             h = (h + h.conj().T) / 2.0
+            h = h - np.trace(h) / 3 * np.eye(3)
             eta = max(eta, float(np.abs(np.linalg.eigvalsh(h)).max()))
         assert abs(validity_ratio(ham) - eta / w_min) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_energy_offset_does_not_move_the_ratio(self, d):
+        # H + c*1 moves no trajectory, so it must not move the ratio either
+        rng = np.random.default_rng(23 + d)
+        for n_freq in (1, 2, 3):
+            ham = random_harmonic(rng, d, n_freq, strength=0.3)
+            ratio = validity_ratio(ham)
+            assert ratio > 0.0
+            for c in (-7.5, 0.4, 40.0):
+                shifted = HarmonicHamiltonian(ham.h0 + c * np.eye(d), ham.terms)
+                assert abs(validity_ratio(shifted) - ratio) <= 1e-12 * ratio

@@ -6,13 +6,41 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from avgdyn.fourier import FourierOperator, commutator, fourier_sum, lowpass_average
-from avgdyn.linalg import superop
+from avgdyn.harmonic import EffectiveGenerator
+from avgdyn.linalg import hermitian_coordinates, superop
 from util import antiderivative_terms, merge_terms, random_complex, random_harmonic
 
 
 def single(coeff, nu, p=0):
     coeff = np.asarray(coeff, dtype=complex)
     return FourierOperator(coeff.shape[0], [(coeff, nu, p)])
+
+
+# Times near 0 and near 1e3, where t * nu carries ~1e-13 of rounding
+EVALUATE_TIMES = (np.linspace(-0.3, 0.3, 7), 1e3 + np.linspace(-0.5, 0.5, 7))
+
+
+def assert_real_part(f, ts):
+    """``f.evaluate_real(ts)`` is the real part of ``f.evaluate(ts)`` within 1e-15 of
+    the largest |value| its terms can sum to, sum_k |C_k| |t|**p_k entry by entry."""
+    got = f.evaluate_real(ts)
+    assert got.shape == (len(ts), f.dim, f.dim) and got.dtype == float
+    scale = sum((np.abs(c) * np.abs(ts).max() ** p for c, _, p in f.terms), np.zeros(1)).max()
+    assert np.abs(got - f.evaluate(ts).real).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n_freq", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_evaluate_real_of_real_coordinate_liouvillians(d, n_freq):
+    # the generators the density propagation evaluates in real arithmetic
+    to_vec, from_vec = map(FourierOperator.constant, hermitian_coordinates(d))
+    for seed in range(5):
+        ham = random_harmonic(np.random.default_rng(10 * d + n_freq + 100 * seed), d, n_freq,
+                              strength=0.3)
+        for liouvillian in (ham.liouvillian, EffectiveGenerator(ham).liouvillian):
+            real = from_vec @ liouvillian @ to_vec
+            for ts in EVALUATE_TIMES:
+                assert_real_part(real, ts)
 
 
 class TestTermAlgebra:
@@ -53,6 +81,12 @@ class TestTermAlgebra:
         for t in (-1.7, 0.0, 0.4, 2.9):
             direct = sum(c * t**p * np.exp(1j * nu * t) for c, nu, p in terms)
             assert_allclose(f.evaluate(t), direct, atol=1e-14)
+        for ts in EVALUATE_TIMES:
+            assert_real_part(f, ts)
+
+    def test_evaluate_real_of_no_terms_is_zero(self):
+        ts = EVALUATE_TIMES[1]
+        assert np.array_equal(FourierOperator(4).evaluate_real(ts), np.zeros((len(ts), 4, 4)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -243,6 +243,22 @@ class TestRunScenario:
         assert "comparison" in report
         assert report["comparison"]["column"] == "rho12_re"
 
+    @pytest.mark.parametrize("h0, terms, ratio", [
+        ([[5, 0], [0, 5]], [{"h": [[0, 0], [0.15, 0]], "omega": 1.0}], 0.15),
+        ([[5]], [{"h": [[0.15]], "omega": 1.0}], 0.0),
+    ])
+    def test_energy_offset_neither_moves_the_ratio_nor_warns(self, h0, terms, ratio):
+        d = len(h0)
+        config = {"kind": "custom_harmonic", "h0": h0, "terms": terms,
+                  "initial": np.full((d, d), 1.0 / d).tolist(), "t_max": 20, "dt": 0.01}
+        result = run_scenario(scenario_from_dict(config))
+        unshifted = run_scenario(scenario_from_dict(dict(config, h0=np.zeros((d, d)).tolist())))
+        assert result.report["validity_ratio"] == pytest.approx(ratio, rel=1e-12, abs=0.0)
+        assert result.report["validity_ratio"] == unshifted.report["validity_ratio"]
+        assert result.warnings == ()
+        assert np.array_equal(result.exact.data[:, 1:1 + d * d],
+                              unshifted.exact.data[:, 1:1 + d * d])
+
     def test_configured_cutoff_in_units_of_delta(self):
         # the configured cutoff, the averaging filter and the comparison
         # share the unit of the CSV t column
