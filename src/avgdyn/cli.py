@@ -4,12 +4,19 @@ Subcommands: run a scenario and emit CSVs plus a JSON report, compare
 two trajectory CSVs, derive the generator matrices of a scenario for
 inspection, or just validate a config.  Exit codes: 0 success, 1
 invalid input (a config, an argument, or a path that cannot be read or
-written), 2 runtime/propagation error.
+written), 2 runtime/propagation error, a fork that fails included.
+
+``run`` and ``compare`` each fork one child through :func:`_in_child`.
+``run`` forks it from ``run_scenario``'s ``write`` hook once the exact
+record is built, so ``exact.csv`` is formatted while the parent
+propagates the averaged model, compares, and writes ``effective.csv``;
+``compare`` reads ``a`` in the child and ``b`` in the parent.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pickle
@@ -71,29 +78,31 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _in_two_processes(fn, first, second):
-    """``(fn(*first), fn(*second))``, the first call made in a forked child
-    process while the parent makes the second.
+@contextlib.contextmanager
+def _in_child(fn, *args):
+    """Run ``fn(*args)`` in a forked child process while the block runs.
 
-    The child sends its result, or its exception, back to the parent
-    pickled through a pipe, and ends in ``os._exit``: it runs no ``atexit``
-    handler and flushes none of the buffers it inherited.  The parent always
-    waits for the child, so none is left behind.  When both calls raise,
-    the first call's exception is raised.  Needs POSIX ``os.fork``.
+    The block gets an empty list, which holds the child's result once the
+    block has ended.  The child sends its result, or its exception, back to
+    the parent pickled through a pipe, and ends in ``os._exit``: it runs no
+    ``atexit`` handler and flushes none of the buffers it inherited.  The
+    block's end waits for the child, so none is left behind, even when the
+    block raises.  The child's exception wins over the block's, and a
+    failed fork is a ``ValueError``.  Needs POSIX ``os.fork``.
     """
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except OSError as exc:
         os.close(read_fd)
         os.close(write_fd)
-        raise
+        raise ValueError(f"cannot start a process for {fn.__name__}: {exc}") from None
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
             try:
-                outcome = (True, fn(*first))
+                outcome = (True, fn(*args))
             except Exception as exc:
                 outcome = (False, exc)
             with open(write_fd, "wb") as pipe:
@@ -102,13 +111,14 @@ def _in_two_processes(fn, first, second):
         finally:
             os._exit(status)
     os.close(write_fd)
+    result, block_error = [], None
     try:
         # closed before the wait, so a child still writing gets EPIPE, not a hang
         with open(read_fd, "rb") as pipe:
             try:
-                second_outcome = (True, fn(*second))
+                yield result
             except Exception as exc:
-                second_outcome = (False, exc)
+                block_error = exc
             payload = pipe.read()
     finally:
         _, status = os.waitpid(pid, 0)
@@ -116,21 +126,34 @@ def _in_two_processes(fn, first, second):
     if code := os.waitstatus_to_exitcode(status):
         raise ValueError(f"the child process for {fn.__name__} ended with exit "
                          f"code {code} and no result")
-    first_outcome = pickle.loads(payload)
-    for ok, value in (first_outcome, second_outcome):
-        if not ok:
-            raise value
-    return first_outcome[1], second_outcome[1]
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    if block_error is not None:
+        raise block_error
+    result.append(value)
 
 
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     args.out.mkdir(parents=True, exist_ok=True)
-    result = run_scenario(cfg)
-    for message in result.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    _in_two_processes(emit_csv, (result.exact, args.out / "exact.csv"),
-                      (result.effective, args.out / "effective.csv"))
+    with contextlib.ExitStack() as children:
+        def write(label, record):
+            # exact.csv is formatted in a child while the averaged model runs;
+            # effective.csv is written below, after the warnings, as before
+            if label == "exact":
+                children.enter_context(_in_child(emit_csv, record, args.out / "exact.csv"))
+
+        try:
+            result = run_scenario(cfg, write)
+        except Exception:
+            # a failed run is reported, not an exact.csv the child failed meanwhile
+            with contextlib.suppress(Exception):
+                children.close()
+            raise
+        for message in result.warnings:
+            print(f"warning: {message}", file=sys.stderr)
+        emit_csv(result.effective, args.out / "effective.csv")
     report_text = _dumps(result.report)
     (args.out / "report.json").write_text(report_text + "\n", encoding="utf-8")
     print(report_text)
@@ -147,7 +170,9 @@ def _cmd_compare(args) -> int:
         for name in names:
             if name not in columns:
                 raise ScenarioError([f"no column {name!r}; have {columns}"])
-    a, b = _in_two_processes(read_csv, (args.a, names), (args.b, names))
+    with _in_child(read_csv, args.a, names) as child:
+        b = read_csv(args.b, names)
+    [a] = child
     metrics = compare_trajectories(a, b, args.cutoff, column=args.column)
     print(_dumps(metrics))
     return EXIT_OK

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -529,7 +530,13 @@ class RunResult:
     warnings: tuple[str, ...]  # one sentence each, in the order they arose
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunResult:
+def _write_nothing(label: str, record: TrajectoryRecord) -> None:
+    pass
+
+
+def run_scenario(cfg: ScenarioConfig,
+                 write: Callable[[str, TrajectoryRecord], None] = _write_nothing
+                 ) -> RunResult:
     """Propagate the exact and averaged dynamics on the same grid and
     compare them.
 
@@ -538,6 +545,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     trajectory is alive at a time: each is reduced to its report
     diagnostics and its record before the next one is propagated.  The
     result words each warning once, in ``RunResult.warnings``.
+
+    ``write(label, record)`` is called with each record as soon as it is
+    built, the trajectory it came from already freed: first
+    ``("exact", result.exact)``, before the averaged model is propagated,
+    then ``("effective", result.effective)``, before the comparison.  A
+    caller can so start writing the exact record while the averaged model
+    runs; an exception ``write`` raises ends the run.
     """
     ratio = validity_ratio(cfg.hamiltonian)
     cutoff = cfg.averaging_filter()
@@ -556,8 +570,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                      for t, drift in traj.renormalized]
         report[f"purity_drift_{label}"] = float(np.abs(traj.purity - traj.purity[0]).max())
         report[f"min_eigenvalue_{label}"] = float(traj.min_eigenvalues.min())
-        records.append(build_record(traj))
+        record = build_record(traj)
         del traj
+        write(label, record)
+        records.append(record)
     if (min_eig := report["min_eigenvalue_effective"]) < -POSITIVITY_TOL:
         messages.append(f"averaged evolution dipped to min eigenvalue {min_eig:.3e}")
     if not report["validity_ok"]:

@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import os
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgdyn.cli import _in_two_processes, main
+import avgdyn.scenarios
+from avgdyn.cli import _in_child, main
 from avgdyn.harmonic import EffectiveGenerator
 from avgdyn.scenarios import KINDS, TrajectoryRecord, emit_csv, load_scenario, run_scenario
 
@@ -662,10 +664,13 @@ def _exit_in_child(code):
 
 
 class TestTwoProcesses:
-    """run writes its two CSVs, and compare reads its two, in two processes."""
+    """run writes exact.csv in a child while the averaged model runs, and
+    compare reads its two CSVs in two processes."""
 
     def test_results_in_call_order(self):
-        assert _in_two_processes(divmod, (7, 2), (9, 4)) == ((3, 1), (2, 1))
+        with _in_child(divmod, 7, 2) as child:
+            parent = divmod(9, 4)
+        assert child == [(3, 1)] and parent == (2, 1)
         assert_no_child_left()
 
     @pytest.mark.parametrize("exc", [
@@ -676,22 +681,89 @@ class TestTwoProcesses:
     ], ids=["file_not_found", "is_a_directory", "value", "key"])
     @pytest.mark.parametrize("second", [None, ValueError("second")], ids=["second_ok", "second_fails"])
     def test_child_exception_comes_back(self, exc, second):
-        # the first call runs in the child; its exception wins over the second's
+        # the call runs in the child; its exception wins over the block's
         with pytest.raises(type(exc)) as info:
-            _in_two_processes(_raise_if, (exc,), (second,))
+            with _in_child(_raise_if, exc):
+                _raise_if(second)
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
         assert info.value.args == exc.args
         assert_no_child_left()
 
     def test_parent_exception_when_the_child_succeeds(self):
         with pytest.raises(KeyError, match="second"):
-            _in_two_processes(_raise_if, (None,), (KeyError("second"),))
+            with _in_child(_raise_if, None) as child:
+                _raise_if(KeyError("second"))
+        assert child == []
         assert_no_child_left()
 
     def test_child_without_a_result(self):
         with pytest.raises(ValueError, match="exit code 3 and no result"):
-            _in_two_processes(_exit_in_child, (3,), (0,))
+            with _in_child(_exit_in_child, 3):
+                pass
         assert_no_child_left()
+
+    @pytest.mark.parametrize("command, fn", [("run", "emit_csv"), ("compare", "read_csv")])
+    def test_failed_fork_is_one_line_runtime_error(self, small_config, tmp_path, capsys,
+                                                   monkeypatch, command, fn):
+        out = tmp_path / "out"
+        if command == "compare":
+            assert main(["run", str(small_config), "--out", str(out)]) == 0
+            capsys.readouterr()
+        pipes, real_pipe = [], os.pipe
+
+        def pipe():
+            pipes.extend(fds := real_pipe())
+            return fds
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        argv = {"run": ["run", str(small_config), "--out", str(out)],
+                "compare": ["compare", str(out / "exact.csv"), str(out / "effective.csv"),
+                            "--cutoff", "0.5"]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot start a process for {fn}: [Errno {errno.EAGAIN}] "
+                f"{os.strerror(errno.EAGAIN)}\n")
+        # the pipe meant for the child is closed
+        assert len(pipes) == 2
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_averaged_stage_failing_after_the_exact_child_started(self, small_config, tmp_path,
+                                                                 capsys, monkeypatch):
+        reference = tmp_path / "reference.csv"
+        emit_csv(run_scenario(load_scenario(small_config)).exact, reference)
+
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(avgdyn.scenarios, "propagate_effective", boom)
+        out = tmp_path / "out"
+        assert main(["run", str(small_config), "--out", str(out)]) == 2
+        assert_no_child_left()
+        assert capsys.readouterr() == ("", "error: boom\n")
+        # the child, started before the averaged stage, finishes exact.csv;
+        # nothing else is written
+        assert (out / "exact.csv").read_bytes() == reference.read_bytes()
+        assert sorted(path.name for path in out.iterdir()) == ["exact.csv"]
+
+    def test_failed_averaged_stage_wins_over_an_unwritable_exact_csv(self, small_config,
+                                                                     tmp_path, capsys,
+                                                                     monkeypatch):
+        # as before the child existed: the run's error, not the CSV's, exit 2
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(avgdyn.scenarios, "propagate_effective", boom)
+        out = tmp_path / "out"
+        (out / "exact.csv").mkdir(parents=True)
+        assert main(["run", str(small_config), "--out", str(out)]) == 2
+        assert_no_child_left()
+        assert capsys.readouterr() == ("", "error: boom\n")
 
     @pytest.mark.parametrize("config", ["ac_stark.json", "raman.json"])
     def test_run_csvs_match_in_process_writes(self, tmp_path, capsys, config):

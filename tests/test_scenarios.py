@@ -235,6 +235,20 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert result.report["purity_drift_effective"] <= 1e-9
 
+    def test_write_gets_each_record_before_the_next_model_runs(self, monkeypatch):
+        calls = []
+        propagate = avgdyn.scenarios.propagate_effective
+
+        def logged(*args):
+            calls.append(("propagate_effective", None))
+            return propagate(*args)
+
+        monkeypatch.setattr(avgdyn.scenarios, "propagate_effective", logged)
+        result = run_scenario(scenario_from_dict(RAMAN),
+                              lambda label, record: calls.append((label, record)))
+        assert [name for name, _ in calls] == ["exact", "propagate_effective", "effective"]
+        assert calls[0][1] is result.exact and calls[2][1] is result.effective
+
     def test_report_contents(self):
         cfg = scenario_from_dict(dict(AC_MINIMAL, t_max=50))
         result = run_scenario(cfg)
