@@ -7,12 +7,14 @@ integrates each with one chunked, fixed-step classical RK4, giving
 deterministic trajectories suitable for golden-file comparisons.  Density
 matrices are propagated as their real Hermitian coordinates, in which the
 Liouvillian is real: each chunk evaluates it in real arithmetic, as cos/sin
-weights times one real coefficient table (:meth:`FourierOperator.evaluate_real`).
+weights times one real coefficient table (:meth:`FourierOperator.evaluate_real`),
+and a time-independent one is evaluated once and stepped with one increment.
 Nothing here logs: a trajectory carries its diagnostics, for the caller to word.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,7 +79,11 @@ class TimeGrid:
 @dataclass(frozen=True)
 class Trajectory:
     """Density matrices sampled on a uniform grid, held as the real coordinates x they
-    were propagated in, and the (t, trace drift) of each renormalization of their trace."""
+    were propagated in, and the (t, trace drift) of each renormalization of their trace.
+
+    Purity, and the minimum eigenvalue of a 2-level state, are read off x; complex
+    states are built only for the minimum eigenvalue at d != 2 (and by callers,
+    such as the d = 3 Bloch columns)."""
 
     times: np.ndarray
     coords: np.ndarray  # shape (n_samples, d**2)
@@ -101,17 +107,46 @@ class Trajectory:
     # computed once: a run reads each diagnostic for its CSV and its report
     @cached_property
     def purity(self) -> np.ndarray:
-        states = self.states
-        return np.einsum("tij,tji->t", states, states).real
+        """tr(rho^2) = sum_i rho_ii^2 + 2 sum_(i<j) |rho_ij|^2."""
+        diagonal, off = self.coords[:, :self.dim], self.coords[:, self.dim:]
+        return np.einsum("ti,ti->t", diagonal, diagonal) + 2.0 * np.einsum("ti,ti->t", off, off)
 
     @cached_property
     def min_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.states)[:, 0].copy()  # not a view pinning all d columns
+        if self.dim != 2:
+            return np.linalg.eigvalsh(self.states)[:, 0].copy()  # not a view pinning all d columns
+        # (a + b)/2 - |((a - b)/2, Re c, Im c)| of [[a, c], [c*, b]]
+        a, b, re, im = self.coords.T
+        return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.hypot(re, im))
 
 
 def _steps_per_chunk(size, dtype) -> int:
     """Steps k per chunk: its 2k+1 generator matrices fit in CHUNK_BYTES, its R stack in ~half."""
     return max(1, CHUNK_BYTES // (2 * size * size * np.dtype(dtype).itemsize))
+
+
+def _increments(hl) -> np.ndarray:
+    """The RK4 increments X = P - I of the steps whose dt * L matrices at their grid and
+    half-step times are the (2k+1)-stack ``hl``: the stages as matrices acting on a
+    step's initial state, with the identity left out so that rounding stays at the
+    size of X."""
+    hl_mid = hl[1::2]
+    k1 = hl[:-1:2]
+    k2 = hl_mid + 0.5 * (hl_mid @ k1)
+    k3 = hl_mid + 0.5 * (hl_mid @ k2)
+    k4 = hl[2::2] + hl[2::2] @ k3
+    return (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+
+
+def _block_products(x, m) -> np.ndarray:
+    """R_i = X_i + R_(i-1) + X_i R_(i-1) = P_i...P_1 - I, i = 1..m, of each block of m
+    steps with increments ``x``, the last block padded with X = 0."""
+    size = x.shape[-1]
+    r = np.zeros((-(-len(x) // m), m, size, size), dtype=x.dtype)
+    r.reshape(-1, size, size)[:len(x)] = x
+    for i in range(1, m):
+        r[:, i] += r[:, i - 1] + r[:, i] @ r[:, i - 1]
+    return r
 
 
 def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
@@ -120,10 +155,15 @@ def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
     ``generators(times)`` returns the stack of L matrices at a 1-D array of
     times; it is called once per chunk of k steps, at the chunk's grid and
     half-step times.  Batched products build each step's increment X = P - I
-    (the RK4 transfer matrix minus the identity), then, in blocks of isqrt(k)
-    steps (the last padded with X = 0), R_i = X_i + R_(i-1) + X_i R_(i-1) =
-    P_i...P_1 - I and each block's states s + R_i s from its start state s:
-    about 2 sqrt(k) Python steps per chunk.  Returns the (n_steps + 1, len(v0))
+    (the RK4 transfer matrix minus the identity), then, in blocks of
+    m = isqrt(k) steps (the last padded with X = 0), R_i = X_i + R_(i-1) +
+    X_i R_(i-1) = P_i...P_1 - I and each block's states s + R_i s from its
+    start state s: about 2 sqrt(k) Python steps per chunk.
+
+    For a time-independent equation, ``generators`` is the one (D, D) matrix L
+    instead: X is built once, and R_1..R_m once per distinct block length m,
+    with the same products, so the trajectory is bit-identical to that of a
+    callable returning L at every time.  Returns the (n_steps + 1, len(v0))
     trajectory in the dtype of ``v0``, or raises ValueError if it diverged.
     """
     v = np.array(v0)
@@ -131,24 +171,24 @@ def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
     out = np.empty((n + 1, v.size), dtype=v.dtype)
     out[0] = v
     chunk = _steps_per_chunk(v.size, v.dtype)
+    constant = not callable(generators)
+    products = {}  # block length m -> R_1..R_m of a time-independent equation
     # a diverging solution overflows: it is reported below, once
     with np.errstate(over="ignore", invalid="ignore"):
+        if constant:
+            # one step's three stage times, all at the one matrix
+            x = _increments(dt * np.broadcast_to(generators, (3, v.size, v.size)))
         for start in range(0, n, chunk):
             k = min(chunk, n - start)
-            half_steps = np.arange(2 * start, 2 * (start + k) + 1)
-            hl = dt * generators(grid.t0 + (0.5 * dt) * half_steps)
-            hl_mid = hl[1::2]
-            # RK4 stages as matrices acting on the step's initial state, with
-            # the identity left out so that rounding stays at the size of X
-            k1 = hl[:-1:2]
-            k2 = hl_mid + 0.5 * (hl_mid @ k1)
-            k3 = hl_mid + 0.5 * (hl_mid @ k2)
-            k4 = hl[2::2] + hl[2::2] @ k3
             m = math.isqrt(k)
-            r = np.zeros((-(-k // m), m, v.size, v.size), dtype=hl.dtype)
-            r.reshape(-1, v.size, v.size)[:k] = (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-            for i in range(1, m):
-                r[:, i] += r[:, i - 1] + r[:, i] @ r[:, i - 1]
+            if constant:
+                if m not in products:
+                    products[m] = _block_products(np.broadcast_to(x, (m, v.size, v.size)), m)[0]
+                r = itertools.repeat(products[m])  # every block of the chunk
+            else:
+                half_steps = np.arange(2 * start, 2 * (start + k) + 1)
+                hl = dt * generators(grid.t0 + (0.5 * dt) * half_steps)
+                r = _block_products(_increments(hl), m)
             for first, block in zip(range(start + 1, start + k + 1, m), r):
                 rows = out[first:min(first + m, start + k + 1)]
                 rows[:] = v + block[:len(rows)] @ v
@@ -200,7 +240,10 @@ def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Tr
     conj = FourierOperator(real.dim, [(c.conj(), -nu, p) for c, nu, p in real.terms])
     if (imag := (real - conj).max_abs() / 2.0) > HERMITICITY_TOL * real.max_abs():
         raise ValueError(f"generator not Hermiticity-preserving: imaginary part {imag:.3e}")
-    x = propagate_linear(real.evaluate_real, (from_vec @ vectorize(rho0)).real, grid)
+    generators = real.evaluate_real
+    if all(nu == 0.0 and p == 0 for _, nu, p in real.terms):  # time-independent
+        generators = real.evaluate_real(np.array([grid.t0]))[0]
+    x = propagate_linear(generators, (from_vec @ vectorize(rho0)).real, grid)
     return Trajectory(grid.times(), x, _renormalize_traces(x, len(rho0), grid))
 
 

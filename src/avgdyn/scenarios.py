@@ -57,7 +57,8 @@ CSV_BLOCK_VALUES = 16 * 1024
 # one trajectory's real coordinates, the complex states a diagnostic builds
 # from them (8 + 16 bytes per entry, within 2 * 16) and the two records, so a
 # grid of n_samples needs at most n_samples * (2 * 16 * d**2 + 2 * 8 * c)
-# bytes for c CSV columns; larger grids are rejected at validation.
+# bytes for c CSV columns; larger grids are rejected at validation.  A 2-level
+# run builds no complex states, so for it the estimate stays an upper bound.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -344,8 +345,8 @@ def _record_columns(d) -> tuple[str, ...]:
 
 
 def _bytes_per_sample(d) -> int:
-    """Bytes a run holds per grid sample: twice one trajectory's complex states (its
-    real coordinates and the states built from them) and the two records' rows."""
+    """Bytes a run holds per grid sample, at most: twice one trajectory's complex states
+    (its real coordinates and the states built from them) and the two records' rows."""
     return 2 * 16 * d * d + 2 * 8 * len(_record_columns(d))
 
 

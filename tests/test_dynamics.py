@@ -1,4 +1,5 @@
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.linalg import expm
 from avgdyn.dynamics import (
     TRACE_RENORM_TOL,
     TimeGrid,
+    Trajectory,
     _steps_per_chunk,
     propagate_effective,
     propagate_exact,
@@ -15,8 +17,9 @@ from avgdyn.dynamics import (
 )
 from avgdyn.fourier import FourierOperator
 from avgdyn.harmonic import EffectiveGenerator, HarmonicHamiltonian
+from avgdyn.linalg import hermitian_coordinates
 from avgdyn.raman import RamanParams, bloch_matrix, integrate_bloch, raman_coefficients
-from avgdyn.scenarios import build_record
+from avgdyn.scenarios import build_record, load_scenario
 from avgdyn.signals import dominant_frequency
 from util import random_density, random_harmonic, random_hermitian
 
@@ -295,9 +298,78 @@ def test_h0_hermitian_within_tolerance_runs_as_its_hermitian_part():
 
 
 def test_overflow_is_reported_at_the_first_non_finite_sample():
-    # the first RK4 stage already overflows: one error, no numpy warnings
+    # the first RK4 stage already overflows: one error, no numpy warnings,
+    # for a callable and for the one matrix of a time-independent equation
     def generators(times):
         return np.full((len(times), 1, 1), 1e200)
 
-    with pytest.raises(ValueError, match=r"^propagation diverged at t=0\.6$"):
-        propagate_linear(generators, np.array([1.0]), TimeGrid(0.5, 2.0, 0.1))
+    for generator in (generators, np.full((1, 1), 1e200)):
+        with pytest.raises(ValueError, match=r"^propagation diverged at t=0\.6$"):
+            propagate_linear(generator, np.array([1.0]), TimeGrid(0.5, 2.0, 0.1))
+
+
+@pytest.mark.parametrize("size", [1, 4, 9])
+@pytest.mark.parametrize("steps", ["one", "whole chunks", "3 chunks + 7", "zero generator"])
+def test_time_independent_matrix_steps_as_its_callable(size, steps):
+    # a last chunk of 7 steps has blocks of 2 where the full chunks' are longer,
+    # and its last block is zero-padded
+    chunk = _steps_per_chunk(size, float)
+    n = {"one": 1, "whole chunks": 2 * chunk, "3 chunks + 7": 3 * chunk + 7,
+         "zero generator": chunk + 7}[steps]
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal((size, size))
+    generator = np.zeros((size, size)) if steps == "zero generator" else a - a.T - 0.1 * np.eye(size)
+    v0 = rng.standard_normal(size)
+    grid = grid_with_steps(n, 0.01)
+    want = propagate_linear(lambda times: np.repeat(generator[None], len(times), axis=0), v0, grid)
+    assert propagate_linear(generator, v0, grid).tobytes() == want.tobytes()
+
+
+def test_single_drive_averaged_model_evaluates_its_generator_once(monkeypatch):
+    # one drive frequency: H_eff alone, constant in time, on 20 000 steps
+    cfg = load_scenario(Path(__file__).resolve().parent.parent / "configs" / "ac_stark.json")
+    calls, evaluate_real = [], FourierOperator.evaluate_real
+    monkeypatch.setattr(FourierOperator, "evaluate_real",
+                        lambda self, t: calls.append(len(t)) or evaluate_real(self, t))
+    traj = propagate_effective(cfg.generator, cfg.initial, cfg.grid)
+    assert calls == [1]
+    assert len(traj.coords) == cfg.grid.n_steps + 1 > _steps_per_chunk(4, float)
+
+
+def diagnostic_states(d, kind):
+    """Five d-level states of one kind: pure, mixed, maximally mixed (degenerate
+    spectrum) or diagonal."""
+    rng = np.random.default_rng(d)
+    if kind == "pure":
+        kets = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        return np.einsum("ti,tj->tij", kets, kets.conj())
+    if kind == "mixed":
+        return np.stack([random_density(rng, d) for _ in range(5)])
+    if kind == "maximally mixed":
+        return np.repeat(np.eye(d, dtype=complex)[None] / d, 5, axis=0)
+    weights = rng.random((5, d))
+    return np.stack([np.diag(w / w.sum()).astype(complex) for w in weights])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["pure", "mixed", "maximally mixed", "diagonal"])
+def test_diagnostics_match_their_matrix_definitions(d, kind):
+    states = diagnostic_states(d, kind)
+    _, from_vec = hermitian_coordinates(d)
+    coords = (states.transpose(0, 2, 1).reshape(len(states), d * d) @ from_vec.T).real
+    traj = Trajectory(np.arange(len(states), dtype=float), coords)
+    want_purity = np.einsum("tij,tji->t", states, states).real
+    assert np.abs(traj.purity - want_purity).max() <= 1e-15
+    assert np.abs(traj.min_eigenvalues - np.linalg.eigvalsh(states)[:, 0]).max() <= 1e-15
+
+
+def test_two_level_diagnostics_and_record_never_build_complex_states(monkeypatch):
+    traj = propagate_exact(ac_stark(), PLUS, TimeGrid(0.0, 5.0, 0.01))
+
+    def no_states(self):
+        raise AssertionError("complex states built")
+
+    monkeypatch.setattr(Trajectory, "states", property(no_states))
+    assert traj.purity.shape == traj.min_eigenvalues.shape == (501,)
+    assert build_record(traj).data.shape == (501, 7)
