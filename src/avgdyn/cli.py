@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import pickle
 import sys
@@ -73,8 +74,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _non_finite(obj, path=()):
+    """(key path, value) of the first NaN or infinite float in ``obj``, keys in
+    sorted order as :func:`_dumps` writes them, or None."""
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None if not isinstance(obj, float) or math.isfinite(obj) else (path, obj)
+    for key, value in items:
+        if found := _non_finite(value, path + (key,)):
+            return found
+    return None
+
+
 def _dumps(obj) -> str:
-    """Strict JSON: a NaN or infinite value raises ValueError (exit 2)."""
+    """Strict JSON: a NaN or infinite value raises ValueError (exit 2) naming its key."""
+    if found := _non_finite(obj):
+        path, value = found
+        raise ValueError(f"{'.'.join(map(str, path))} is {value}, which is not JSON compliant")
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 

@@ -32,7 +32,9 @@ MAX_STEPS = 10_000_000
 # Smallest dt, in units in the last place of the largest |t| on a grid: the
 # times t0 + k * dt then carry each step to a relative rounding of ~1e-6.
 MIN_STEP_ULPS = 2 ** 20
-TRACE_RENORM_TOL = 1e-12
+# Largest |tr(rho) - 1| a run accepts without a warning: every generator here
+# annihilates the trace, so a propagated trace moves only by rounding.
+TRACE_TOL = 1e-12
 # Bytes per chunk stack of generator matrices: bounds a propagation's memory
 # independently of its length.
 CHUNK_BYTES = 128 * 1024
@@ -79,15 +81,14 @@ class TimeGrid:
 @dataclass(frozen=True)
 class Trajectory:
     """Density matrices sampled on a uniform grid, held as the real coordinates x they
-    were propagated in, and the (t, trace drift) of each renormalization of their trace.
+    were propagated in.
 
-    Purity, and the minimum eigenvalue of a 2-level state, are read off x; complex
-    states are built only for the minimum eigenvalue at d != 2 (and by callers,
-    such as the d = 3 Bloch columns)."""
+    Trace drift, purity, and the minimum eigenvalue of a 2-level state are read off
+    x; complex states are built only for the minimum eigenvalue at d != 2 (and by
+    callers, such as the d = 3 Bloch columns)."""
 
     times: np.ndarray
     coords: np.ndarray  # shape (n_samples, d**2)
-    renormalized: tuple[tuple[float, float], ...] = ()
 
     @property
     def dim(self) -> int:
@@ -105,6 +106,11 @@ class Trajectory:
         return unvectorize(flat)
 
     # computed once: a run reads each diagnostic for its CSV and its report
+    @cached_property
+    def trace_drift(self) -> np.ndarray:
+        """|tr(rho) - 1| = |sum_i rho_ii - 1|, never corrected."""
+        return np.abs(self.coords[:, :self.dim].sum(axis=1) - 1.0)
+
     @cached_property
     def purity(self) -> np.ndarray:
         """tr(rho^2) = sum_i rho_ii^2 + 2 sum_(i<j) |rho_ij|^2."""
@@ -199,38 +205,9 @@ def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def _renormalize_traces(x, d, grid: TimeGrid) -> tuple[tuple[float, float], ...]:
-    """Renormalize in place each state of ``x`` whose trace, its first d coordinates'
-    sum, drifted beyond TRACE_RENORM_TOL since the last renormalization, and return
-    the (t, drift) of each one.
-
-    The equation is linear, so renormalizing a state during propagation
-    scales every later state by the same reciprocal trace.  Scanning one
-    window at a time keeps the cost linear even when renormalization is frequent.
-    """
-    traces = x[:, :d].sum(axis=1)
-    window = _steps_per_chunk(x.shape[1], x.dtype)
-    events, scales, renormalized = [0], [1.0], []
-    k = 1
-    while k < len(traces):
-        drift = np.abs(traces[k:k + window] * (1.0 / scales[-1]) - 1.0)
-        over = np.flatnonzero(drift > TRACE_RENORM_TOL)
-        if over.size:
-            j = k + over[0]
-            renormalized.append((grid.t0 + grid.dt * j, float(drift[over[0]])))
-            events.append(j)
-            scales.append(traces[j])
-            k = j + 1
-        else:
-            k += window
-    if len(events) > 1:
-        x *= np.repeat(1.0 / np.array(scales), np.diff(events + [len(traces)]))[:, None]
-    return tuple(renormalized)
-
-
 def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Trajectory:
     """Propagate a density matrix as its real coordinates x, in which ``liouvillian``
-    must be real (:func:`~avgdyn.linalg.hermitian_coordinates`); renormalize its trace."""
+    must be real (:func:`~avgdyn.linalg.hermitian_coordinates`)."""
     if failures := validate_density(rho0):
         raise ValueError("not a density matrix: " + "; ".join(failures))
     if liouvillian.dim != np.size(rho0):
@@ -244,15 +221,14 @@ def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Tr
     if all(nu == 0.0 and p == 0 for _, nu, p in real.terms):  # time-independent
         generators = real.evaluate_real(np.array([grid.t0]))[0]
     x = propagate_linear(generators, (from_vec @ vectorize(rho0)).real, grid)
-    return Trajectory(grid.times(), x, _renormalize_traces(x, len(rho0), grid))
+    return Trajectory(grid.times(), x)
 
 
 def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> Trajectory:
     """Integrate i d(rho)/dt = [H(t), rho] with fixed-step RK4.
 
     H(t) is Hermitian by construction of the HarmonicHamiltonian; the trace
-    is renormalized only if it drifts beyond 1e-12, and each renormalization
-    is listed in ``Trajectory.renormalized``.
+    is never rescaled, and ``Trajectory.trace_drift`` measures how far it moved.
     """
     return _propagate_density(hamiltonian.liouvillian, rho0, grid)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import validity_ratio
-from .dynamics import (MIN_STEP_ULPS, RK4_STEP_LIMIT, TimeGrid, Trajectory,
+from .dynamics import (MIN_STEP_ULPS, RK4_STEP_LIMIT, TRACE_TOL, TimeGrid, Trajectory,
                        propagate_effective, propagate_exact)
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
 from .linalg import BLOCH_LABELS, POSITIVITY_TOL, bloch_decompose, upper_triangle, validate_density
@@ -567,8 +567,9 @@ def run_scenario(cfg: ScenarioConfig,
     for label, propagate, model in (("exact", propagate_exact, cfg.hamiltonian),
                                     ("effective", propagate_effective, cfg.generator)):
         traj = propagate(model, cfg.initial, cfg.grid)
-        messages += [f"trace drifted by {drift:.3e} at t={t:.6g}; renormalizing"
-                     for t, drift in traj.renormalized]
+        if (drift := traj.trace_drift.max()) > TRACE_TOL:
+            t = traj.times[traj.trace_drift.argmax()]
+            messages.append(f"trace drifted by {drift:.3e} at t={t:.6g} in the {label} evolution")
         report[f"purity_drift_{label}"] = float(np.abs(traj.purity - traj.purity[0]).max())
         report[f"min_eigenvalue_{label}"] = float(traj.min_eigenvalues.min())
         record = build_record(traj)

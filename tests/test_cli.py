@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avgdyn.cli
 import avgdyn.scenarios
-from avgdyn.cli import _in_child, main
+from avgdyn.cli import _dumps, _in_child, main
 from avgdyn.harmonic import EffectiveGenerator
 from avgdyn.scenarios import KINDS, TrajectoryRecord, emit_csv, load_scenario, run_scenario
 
@@ -29,6 +30,12 @@ def strict_json(text):
     def reject(constant):
         raise ValueError(f"non-finite JSON constant {constant}")
     return json.loads(text, parse_constant=reject)
+
+
+# two drives on one transition, strong enough that the averaged model blows up
+HUGE10 = {"kind": "custom_harmonic", "h0": [[0, 0], [0, 0]],
+          "terms": [{"h": [[0, 0], [5, 0]], "omega": 1}, {"h": [[0, 0], [5, 0]], "omega": 1.3}],
+          "initial": [[1, 0], [0, 0]], "t_max": 10, "dt": 0.012}
 
 
 @pytest.fixture
@@ -327,6 +334,33 @@ class TestRun:
         assert report["comparison"]["amplitude_ratio"] is None
         assert strict_json(capsys.readouterr().out) == report
 
+    def test_blown_up_averaged_model_runs_with_three_warnings(self, tmp_path, capsys):
+        # validity ratio >= 1: the averaged state grows to ~1e66 but stays finite.
+        # Its trace is measured, never rescaled, and worded once; a numpy warning
+        # would fail the run (filterwarnings = error).  Digits follow BLAS rounding.
+        path = tmp_path / "huge10.json"
+        path.write_text(json.dumps(HUGE10), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        assert all(line.startswith("warning: ") for line in lines)
+        assert sum(line.startswith("warning: trace drifted by ") for line in lines) == 1
+        for name in ("exact.csv", "effective.csv"):
+            assert np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1)).all()
+
+    def test_overflowing_report_value_is_named(self, tmp_path, capsys):
+        # the averaged state reaches ~5e170: finite, but its purity overflows
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps(dict(HUGE10, t_max=20, dt=0.0047, terms=[
+            {"h": [[0, 0], [8, 0]], "omega": 1}, {"h": [[0, 0], [8, 0]], "omega": 1.3}])),
+            encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("warning: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: purity_drift_effective is ")
+
     @pytest.mark.parametrize("cutoff", [1e-320, 5e-324])
     def test_tiny_cutoff_runs(self, tmp_path, capsys, cutoff):
         # one kernel width, 2*pi / (cutoff * dt) samples, overflows at 1e-320
@@ -386,6 +420,17 @@ class TestCompare:
         metrics = json.loads(capsys.readouterr().out)
         assert set(metrics) >= {"frequency_difference", "amplitude_ratio",
                                 "max_deviation"}
+
+    def test_non_finite_metric_is_named(self, small_config, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        main(["run", str(small_config), "--out", str(out)])
+        capsys.readouterr()
+        monkeypatch.setattr(avgdyn.cli, "compare_trajectories",
+                            lambda *args, **kwargs: {"max_deviation": float("nan")})
+        assert main(["compare", str(out / "exact.csv"),
+                     str(out / "effective.csv"), "--cutoff", "0.5"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: max_deviation is nan, which is not JSON compliant\n")
 
     @pytest.mark.parametrize("rows, message", [
         ([], "trajectories have 0 samples, comparing them needs at least 64"),
@@ -805,3 +850,11 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "OK" in proc.stdout
+
+
+def test_dumps_names_the_first_non_finite_value_in_written_order():
+    report = {"b": {"z": float("nan"), "a": [1.0, float("-inf")]}, "a": 1.0, "c": float("inf")}
+    with pytest.raises(ValueError, match=r"^b\.a\.1 is -inf, which is not JSON compliant$"):
+        _dumps(report)
+    assert strict_json(_dumps({"a": [1.0, None], "b": {"c": 2}})) == {"a": [1.0, None],
+                                                                      "b": {"c": 2}}

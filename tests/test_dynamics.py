@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from avgdyn.dynamics import (
-    TRACE_RENORM_TOL,
+    TRACE_TOL,
     TimeGrid,
     Trajectory,
     _steps_per_chunk,
@@ -24,14 +24,12 @@ from avgdyn.signals import dominant_frequency
 from util import random_density, random_harmonic, random_hermitian
 
 
-def reference_rk4(rhs, y0, grid, renormalize):
-    """Per-step classical RK4 on rhs(y, t), renormalizing the trace of a
-    density matrix wherever it drifts beyond TRACE_RENORM_TOL.  This is
-    the loop the chunked propagator replaced, kept as its reference.
-    Returns the trajectory and the times at which it renormalized."""
+def reference_rk4(rhs, y0, grid):
+    """Per-step classical RK4 on rhs(y, t): the loop the chunked propagator
+    replaced, kept as its reference.  Returns the trajectory."""
     y = np.array(y0)
     dt = grid.dt
-    out, renormalized = [y], []
+    out = [y]
     for k in range(grid.n_steps):
         t = grid.t0 + k * dt
         k1 = rhs(y, t)
@@ -39,11 +37,8 @@ def reference_rk4(rhs, y0, grid, renormalize):
         k3 = rhs(y + (0.5 * dt) * k2, t + 0.5 * dt)
         k4 = rhs(y + dt * k3, t + dt)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if renormalize and abs(y.trace() - 1.0) > TRACE_RENORM_TOL:
-            renormalized.append(f"{t + dt:.6g}")
-            y = y / y.trace()
         out.append(y)
-    return np.array(out), renormalized
+    return np.array(out)
 
 
 def commutator_rhs(hamiltonian):
@@ -222,7 +217,7 @@ class TestAgainstPerStepLoop:
         ham = random_harmonic(rng, 3, 2, strength=0.2)
         rho0 = random_density(rng, 3)
         grid = grid_with_steps(n, 0.02)
-        want, _ = reference_rk4(commutator_rhs(ham.as_fourier()), rho0, grid, renormalize=True)
+        want = reference_rk4(commutator_rhs(ham.as_fourier()), rho0, grid)
         assert np.abs(propagate_exact(ham, rho0, grid).states - want).max() < 1e-13
 
     @pytest.mark.parametrize("n", chunk_lengths(9, float))
@@ -231,7 +226,7 @@ class TestAgainstPerStepLoop:
         gen = EffectiveGenerator(random_harmonic(rng, 3, 2, strength=0.2))
         rho0 = random_density(rng, 3)
         grid = grid_with_steps(n, 0.02)
-        want, _ = reference_rk4(gen.master_rhs, rho0, grid, renormalize=True)
+        want = reference_rk4(gen.master_rhs, rho0, grid)
         assert np.abs(propagate_effective(gen, rho0, grid).states - want).max() < 1e-13
 
     @pytest.mark.parametrize("n", chunk_lengths(4, float))
@@ -240,25 +235,25 @@ class TestAgainstPerStepLoop:
         r0 = np.array([0.3, 0.2, 0.4, 0.1])
         rate = raman_coefficients(params)[3]
         grid = grid_with_steps(n, 0.5)
-        want, _ = reference_rk4(lambda r, t: bloch_matrix(params, rate * t) @ r, r0, grid,
-                                renormalize=False)
+        want = reference_rk4(lambda r, t: bloch_matrix(params, rate * t) @ r, r0, grid)
         _, rows = integrate_bloch(params, r0, grid)
         assert rows.dtype == np.float64
         assert np.abs(rows - want).max() < 1e-13
 
-    def test_leaking_trace_renormalized_at_the_same_steps(self):
+    def test_leaking_trace_is_measured_not_rescaled(self):
         rng = np.random.default_rng(12)
         gen = LeakyGenerator(random_harmonic(rng, 2, 2, strength=0.2))
         rho0 = random_density(rng, 2)
         grid = grid_with_steps(2 * _steps_per_chunk(4, float) + 7, 0.01)
-        want, want_times = reference_rk4(gen.master_rhs, rho0, grid, renormalize=True)
+        want = reference_rk4(gen.master_rhs, rho0, grid)
         traj = propagate_effective(gen, rho0, grid)
-        assert len(want_times) > grid.n_steps // 4
-        assert [f"{t:.6g}" for t, _ in traj.renormalized] == want_times
         assert np.abs(traj.states - want).max() < 1e-13
+        want_drift = np.abs(np.einsum("tii->t", want).real - 1.0)
+        assert want_drift[-1] > 100 * TRACE_TOL  # leaked far past the warning bound
+        assert_allclose(traj.trace_drift, want_drift, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("propagate", ["exact", "effective", "renormalized"])
+@pytest.mark.parametrize("propagate", ["exact", "effective", "leaky"])
 def test_states_are_exactly_hermitian(propagate):
     rng = np.random.default_rng(13)
     ham = random_harmonic(rng, 3, 2, strength=0.2)
@@ -267,7 +262,7 @@ def test_states_are_exactly_hermitian(propagate):
     if propagate == "exact":
         traj = propagate_exact(ham, rho0, grid)
     else:
-        gen = (LeakyGenerator if propagate == "renormalized" else EffectiveGenerator)(ham)
+        gen = (LeakyGenerator if propagate == "leaky" else EffectiveGenerator)(ham)
         traj = propagate_effective(gen, rho0, grid)
     assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
     assert np.all(np.einsum("tii->ti", traj.states).imag == 0.0)

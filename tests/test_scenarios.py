@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -304,18 +303,24 @@ class TestRunScenario:
             "averaged evolution dipped to min eigenvalue -3.556e-04",
             "validity ratio >= 1, second-order truncation is not justified for this scenario")
 
-    def test_renormalizations_worded_exact_first(self, monkeypatch):
-        # no shipped config drifts; each propagator here reports one renormalization
-        def renormalizing(propagate, event):
-            return lambda *args: replace(propagate(*args), renormalized=(event,))
+    def test_trace_drift_worded_once_per_model_exact_first(self, monkeypatch):
+        # each model's trace leaks past TRACE_TOL for over 100 samples, most at t_peak
+        def leaking(propagate, peak, t_peak):
+            def leaky(*args):
+                traj = propagate(*args)
+                scale = 1.0 + peak * np.exp(-(traj.times - t_peak) ** 2)
+                return Trajectory(traj.times, traj.coords * scale[:, None])
+            return leaky
 
-        for name, event in (("propagate_exact", (1.0, 2e-12)),
-                            ("propagate_effective", (0.25, 3.5e-12))):
+        assert run_scenario(load_scenario(CONFIG_DIR / "ac_stark.json")).warnings == ()
+        for name, peak, t_peak in (("propagate_exact", 2e-12, 1.0),
+                                   ("propagate_effective", 3.5e-12, 0.25)):
             monkeypatch.setattr(avgdyn.scenarios, name,
-                                renormalizing(getattr(avgdyn.scenarios, name), event))
+                                leaking(getattr(avgdyn.scenarios, name), peak, t_peak))
         result = run_scenario(scenario_from_dict(dict(AC_MINIMAL, t_max=10)))
-        assert result.warnings == ("trace drifted by 2.000e-12 at t=1; renormalizing",
-                                   "trace drifted by 3.500e-12 at t=0.25; renormalizing")
+        assert result.warnings == (
+            "trace drifted by 2.000e-12 at t=1 in the exact evolution",
+            "trace drifted by 3.500e-12 at t=0.25 in the effective evolution")
 
     def test_record_row_count_matches_grid(self):
         cfg = scenario_from_dict(dict(AC_MINIMAL, t_max=10))
