@@ -156,6 +156,7 @@ def _in_child(fn, *args):
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "report.json").unlink(missing_ok=True)  # left only by a run that succeeds
     with contextlib.ExitStack() as children:
         def write(label, record):
             # exact.csv is formatted in a child while the averaged model runs;

@@ -6,9 +6,9 @@ Bloch system are all linear, dv/dt = L(t) v: :func:`propagate_linear`
 integrates each with one chunked, fixed-step classical RK4, giving
 deterministic trajectories suitable for golden-file comparisons.  Density
 matrices are propagated as their real Hermitian coordinates, in which the
-Liouvillian is real: each chunk evaluates it in real arithmetic, as cos/sin
-weights times one real coefficient table (:meth:`FourierOperator.evaluate_real`),
-and a time-independent one is evaluated once and stepped with one increment.
+Liouvillian is real.  Where a diagonal frame makes it constant (f = 0 if it is
+time-independent), every RK4 step is one step, built once in that frame; else
+each chunk evaluates it in real arithmetic (:meth:`FourierOperator.evaluate_real`).
 Nothing here logs: a trajectory carries its diagnostics, for the caller to word.
 """
 
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import FourierOperator
+from .fourier import FREQUENCY_MERGE_TOL, FourierOperator
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian
 from .linalg import hermitian_coordinates, unvectorize, validate_density, vectorize
 
@@ -167,33 +167,36 @@ def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
     start state s: about 2 sqrt(k) Python steps per chunk.
 
     For a time-independent equation, ``generators`` is the one (D, D) matrix L
-    instead: X is built once, and R_1..R_m once per distinct block length m,
-    with the same products, so the trajectory is bit-identical to that of a
-    callable returning L at every time.  Returns the (n_steps + 1, len(v0))
-    trajectory in the dtype of ``v0``, or raises ValueError if it diverged.
+    instead: X, and R_1..R_m per block length m, are built once, bit-identical to
+    a callable's.  Returns the (n_steps + 1, len(v0)) trajectory in the dtype of
+    ``v0``, or raises ValueError if it diverged.
     """
+    if not callable(generators):  # X of one step's three stage times, all at the one matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            generators = _increments(grid.dt * np.stack([generators] * 3))
+    return _stepped(generators, v0, grid)
+
+
+def _stepped(step, v0, grid: TimeGrid) -> np.ndarray:
+    """:func:`propagate_linear`, ``step`` its callable or the increment X of a constant step."""
     v = np.array(v0)
     n, dt = grid.n_steps, grid.dt
     out = np.empty((n + 1, v.size), dtype=v.dtype)
     out[0] = v
     chunk = _steps_per_chunk(v.size, v.dtype)
-    constant = not callable(generators)
-    products = {}  # block length m -> R_1..R_m of a time-independent equation
+    products = {}  # block length m -> R_1..R_m of a constant step
     # a diverging solution overflows: it is reported below, once
     with np.errstate(over="ignore", invalid="ignore"):
-        if constant:
-            # one step's three stage times, all at the one matrix
-            x = _increments(dt * np.broadcast_to(generators, (3, v.size, v.size)))
         for start in range(0, n, chunk):
             k = min(chunk, n - start)
             m = math.isqrt(k)
-            if constant:
+            if not callable(step):
                 if m not in products:
-                    products[m] = _block_products(np.broadcast_to(x, (m, v.size, v.size)), m)[0]
+                    products[m] = _block_products(np.broadcast_to(step, (m, v.size, v.size)), m)[0]
                 r = itertools.repeat(products[m])  # every block of the chunk
             else:
                 half_steps = np.arange(2 * start, 2 * (start + k) + 1)
-                hl = dt * generators(grid.t0 + (0.5 * dt) * half_steps)
+                hl = dt * step(grid.t0 + (0.5 * dt) * half_steps)
                 r = _block_products(_increments(hl), m)
             for first, block in zip(range(start + 1, start + k + 1, m), r):
                 rows = out[first:min(first + m, start + k + 1)]
@@ -202,6 +205,35 @@ def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise ValueError(f"propagation diverged at t={grid.t0 + dt * finite.argmin():.6g}")
+    return out
+
+
+def _frame(liouvillian: FourierOperator):
+    """The diagonal f (f_0 = 0, |f_i| <= FREQUENCY_MERGE_TOL snapped to 0) of a frame e^(iFt)
+    where the vec-basis ``liouvillian`` is constant: f_i - f_j - f_k + f_l = -nu for each
+    entry (i + d j, k + d l) != 0 of each term (C, nu, 0), within that tolerance; else None."""
+    d, terms = math.isqrt(liouvillian.dim), liouvillian.terms
+    term, a, b = np.nonzero(np.reshape([c for c, *_ in terms], (-1, d * d, d * d)))
+    eqs = ((unit := np.eye(d))[a % d] - unit[a // d] - unit[b % d] + unit[b // d])[:, 1:]
+    rhs = -np.array([nu for _, nu, _ in terms])[term]
+    # least squares by conjugate gradients (exact in d - 1 steps): lstsq maps 0.5 MB of LAPACK
+    m, f, r = eqs.T @ eqs, np.zeros(d - 1), (s := eqs.T @ rhs)
+    for _ in range(d - 1):
+        if not (q := s @ m @ s):  # the residual r, and so the direction s, is zero
+            break
+        f, r, rr = f + (r @ r / q) * s, r - (r @ r / q) * (m @ s), r @ r
+        s = r + (r @ r / rr) * s
+    if any(p > 0 for *_, p in terms) or np.abs(eqs @ f - rhs).max(initial=0) > FREQUENCY_MERGE_TOL:
+        return None
+    return np.insert(np.where(np.abs(f) <= FREQUENCY_MERGE_TOL, 0.0, f), 0, 0.0)
+
+
+def _turned(x, theta) -> np.ndarray:
+    """(Rot - I) x on the last axis, Rot turning the pairs (Re, Im) rho_ij that end it by
+    ``theta``: from -2 sin^2(theta/2) and sin(theta), so that rounding stays at its size."""
+    c1, s, pairs = -2.0 * np.sin(0.5 * theta) ** 2, np.sin(theta), 2 * np.shape(theta)[-1]
+    re, im, out = x[..., -pairs::2], x[..., 1 - pairs::2], np.zeros(x.shape)
+    out[..., -pairs::2], out[..., 1 - pairs::2] = c1 * re - s * im, s * re + c1 * im
     return out
 
 
@@ -217,11 +249,28 @@ def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Tr
     conj = FourierOperator(real.dim, [(c.conj(), -nu, p) for c, nu, p in real.terms])
     if (imag := (real - conj).max_abs() / 2.0) > HERMITICITY_TOL * real.max_abs():
         raise ValueError(f"generator not Hermiticity-preserving: imaginary part {imag:.3e}")
-    generators = real.evaluate_real
-    if all(nu == 0.0 and p == 0 for _, nu, p in real.terms):  # time-independent
-        generators = real.evaluate_real(np.array([grid.t0]))[0]
-    x = propagate_linear(generators, (from_vec @ vectorize(rho0)).real, grid)
-    return Trajectory(grid.times(), x)
+    v0 = (from_vec @ vectorize(rho0)).real
+    if (f := _frame(liouvillian)) is None:  # stepped per chunk, in the lab frame
+        return Trajectory(grid.times(), propagate_linear(real.evaluate_real, v0, grid))
+    # y = Rot(t - t0) x, pairs rho_ij turned by (f_i - f_j)(t - t0), has the generator K = L(t0):
+    # each lab-frame step is Q = Rot(dt)(I + X~), X~ the increment of stages dt Rot(s)^T K Rot(s)
+    k = real.evaluate_real(np.array([grid.t0]))[0]
+    if not f.any():  # time-independent
+        return Trajectory(grid.times(), propagate_linear(k, v0, grid))
+    rates, dt = (f[:, None] - f)[np.triu_indices(len(f), 1)], grid.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        eye = np.broadcast_to(np.eye(len(k)), (3, len(k), len(k)))
+        # Rot(s) - I, s = 0, dt/2, dt: the transpose of each row of I turned by -theta
+        turns = _turned(eye, -np.multiply.outer([0.0, 0.5 * dt, dt], rates)[:, None])
+        rots = eye + turns
+        x = _increments(dt * (rots.transpose(0, 2, 1) @ k @ rots))
+        x = turns[2] + (x + turns[2] @ x)  # Q - I, never formed as Rot(dt)(I + X~) - I
+    y = _stepped(x, v0, grid)
+    # back to the lab frame, each row turned by -(f_i - f_j) k dt, CHUNK_BYTES at a time
+    for start in range(0, len(y), rows := max(1, CHUNK_BYTES // y[0].nbytes)):
+        part = y[start:start + rows]
+        part += _turned(part, -np.multiply.outer(dt * np.arange(start, start + len(part)), rates))
+    return Trajectory(grid.times(), y)
 
 
 def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> Trajectory:

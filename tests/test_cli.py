@@ -36,6 +36,9 @@ def strict_json(text):
 HUGE10 = {"kind": "custom_harmonic", "h0": [[0, 0], [0, 0]],
           "terms": [{"h": [[0, 0], [5, 0]], "omega": 1}, {"h": [[0, 0], [5, 0]], "omega": 1.3}],
           "initial": [[1, 0], [0, 0]], "t_max": 10, "dt": 0.012}
+# stronger and longer: the averaged state stays finite, but its purity overflows
+OVER = dict(HUGE10, t_max=20, dt=0.0047, terms=[{"h": [[0, 0], [8, 0]], "omega": 1},
+                                               {"h": [[0, 0], [8, 0]], "omega": 1.3}])
 
 
 @pytest.fixture
@@ -352,14 +355,26 @@ class TestRun:
     def test_overflowing_report_value_is_named(self, tmp_path, capsys):
         # the averaged state reaches ~5e170: finite, but its purity overflows
         path = tmp_path / "over.json"
-        path.write_text(json.dumps(dict(HUGE10, t_max=20, dt=0.0047, terms=[
-            {"h": [[0, 0], [8, 0]], "omega": 1}, {"h": [[0, 0], [8, 0]], "omega": 1.3}])),
-            encoding="utf-8")
+        path.write_text(json.dumps(OVER), encoding="utf-8")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if not line.startswith("warning: ")]
         assert len(errors) == 1
         assert errors[0].startswith("error: purity_drift_effective is ")
+
+    def test_failed_run_leaves_no_report(self, small_config, tmp_path, capsys):
+        # a run into a directory that holds a finished run's report fails: its CSVs
+        # are written, and the old report is gone rather than left beside them
+        out = tmp_path / "out"
+        assert main(["run", str(small_config), "--out", str(out)]) == 0
+        assert (out / "report.json").is_file()
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps(OVER), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "purity_drift_effective" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        for name in ("exact.csv", "effective.csv"):
+            assert (out / name).read_text(encoding="utf-8").startswith("t,rho11_re,rho22_re,")
 
     @pytest.mark.parametrize("cutoff", [1e-320, 5e-324])
     def test_tiny_cutoff_runs(self, tmp_path, capsys, cutoff):

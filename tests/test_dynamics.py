@@ -1,3 +1,5 @@
+import itertools
+import json
 from functools import cached_property
 from pathlib import Path
 
@@ -10,6 +12,8 @@ from avgdyn.dynamics import (
     TRACE_TOL,
     TimeGrid,
     Trajectory,
+    _frame,
+    _propagate_density,
     _steps_per_chunk,
     propagate_effective,
     propagate_exact,
@@ -17,9 +21,9 @@ from avgdyn.dynamics import (
 )
 from avgdyn.fourier import FourierOperator
 from avgdyn.harmonic import EffectiveGenerator, HarmonicHamiltonian
-from avgdyn.linalg import hermitian_coordinates
+from avgdyn.linalg import hermitian_coordinates, vectorize
 from avgdyn.raman import RamanParams, bloch_matrix, integrate_bloch, raman_coefficients
-from avgdyn.scenarios import build_record, load_scenario
+from avgdyn.scenarios import build_record, load_scenario, scenario_from_dict
 from avgdyn.signals import dominant_frequency
 from util import random_density, random_harmonic, random_hermitian
 
@@ -320,15 +324,111 @@ def test_time_independent_matrix_steps_as_its_callable(size, steps):
     assert propagate_linear(generator, v0, grid).tobytes() == want.tobytes()
 
 
-def test_single_drive_averaged_model_evaluates_its_generator_once(monkeypatch):
-    # one drive frequency: H_eff alone, constant in time, on 20 000 steps
-    cfg = load_scenario(Path(__file__).resolve().parent.parent / "configs" / "ac_stark.json")
-    calls, evaluate_real = [], FourierOperator.evaluate_real
-    monkeypatch.setattr(FourierOperator, "evaluate_real",
-                        lambda self, t: calls.append(len(t)) or evaluate_real(self, t))
-    traj = propagate_effective(cfg.generator, cfg.initial, cfg.grid)
-    assert calls == [1]
-    assert len(traj.coords) == cfg.grid.n_steps + 1 > _steps_per_chunk(4, float)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = ("ac_stark", "raman", "raman_equal_detuning")
+
+
+def lab_frame(liouvillian, rho0, grid):
+    """The real coordinates stepped per chunk in the lab frame, as a model without a frame."""
+    to_vec, from_vec = hermitian_coordinates(len(rho0))
+    real = FourierOperator.constant(from_vec) @ liouvillian @ FourierOperator.constant(to_vec)
+    return propagate_linear(real.evaluate_real, (from_vec @ vectorize(rho0)).real, grid)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_models_evaluate_their_generator_once(monkeypatch, name):
+    # every shipped model is constant in its drives' frame: its generator is read at t0
+    # alone, never per chunk, on grids of 10 000 to 20 000 steps
+    cfg = load_scenario(CONFIGS / f"{name}.json")
+    evaluate_real = FourierOperator.evaluate_real
+    for propagate, model in ((propagate_exact, cfg.hamiltonian),
+                             (propagate_effective, cfg.generator)):
+        calls = []
+        monkeypatch.setattr(FourierOperator, "evaluate_real",
+                            lambda self, t: calls.append(len(t)) or evaluate_real(self, t))
+        traj = propagate(model, cfg.initial, cfg.grid)
+        assert calls == [1]
+        assert len(traj.coords) == cfg.grid.n_steps + 1 > _steps_per_chunk(9, float)
+
+
+@pytest.mark.parametrize("name, exact, averaged", [
+    ("ac_stark", [0.0, 1.0], [0.0, 0.0]),
+    ("raman", [0.0, -0.02, 1.0], [0.0, -0.02, 0.0]),
+    ("raman_equal_detuning", [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]),
+])
+def test_frames_of_the_shipped_models(name, exact, averaged):
+    cfg = load_scenario(CONFIGS / f"{name}.json")
+    for model, want in ((cfg.hamiltonian, exact), (cfg.generator, averaged)):
+        f = _frame(model.liouvillian)
+        assert_allclose(f, want, rtol=0, atol=1e-15)
+        assert np.array_equal(f == 0.0, np.array(want) == 0.0)  # zeros snapped exactly
+
+
+def test_models_without_a_frame():
+    # random drives (d = 2-4, 1-3 of them): no exact model has a frame, and the averaged
+    # model has one only with one drive, where it is time-independent (f = 0)
+    for d, n_freq, seed in itertools.product((2, 3, 4), (1, 2, 3), range(20)):
+        ham = random_harmonic(np.random.default_rng(seed), d, n_freq)
+        assert _frame(ham.liouvillian) is None
+        f = _frame(EffectiveGenerator(ham).liouvillian)
+        assert (f is None) if n_freq > 1 else not f.any()
+    # a drive with a diagonal entry; two frequencies on one transition
+    h = np.array([[0.05, 0.0], [0.1, 0.0]])
+    assert _frame(HarmonicHamiltonian(np.zeros((2, 2)), ((h, 1.0),)).liouvillian) is None
+    h[0, 0] = 0.0
+    two = HarmonicHamiltonian(np.zeros((2, 2)), ((h, 1.0), (h, 1.3)))
+    assert _frame(two.liouvillian) is None and _frame(EffectiveGenerator(two).liouvillian) is None
+    # a term that grows with t
+    assert _frame(FourierOperator(4, [(np.eye(4), 0.0, 1)])) is None
+    # a driven 1x1 model: its exact Liouvillian is zero, but its averaged one keeps terms
+    # of ~3e-19 at nu != 0, so it is stepped per chunk
+    ham = random_harmonic(np.random.default_rng(1), 1, 2, strength=0.3)
+    assert np.array_equal(_frame(ham.liouvillian), [0.0])
+    assert _frame(EffectiveGenerator(ham).liouvillian) is None
+
+
+def test_frame_of_no_terms_is_zero():
+    for d in (1, 3):
+        assert np.array_equal(_frame(FourierOperator(d * d)), np.zeros(d))
+
+
+def framed_cases():
+    cases = [pytest.param(load_scenario(CONFIGS / f"{name}.json"), id=name) for name in SHIPPED]
+    raman = json.loads((CONFIGS / "raman.json").read_text(encoding="utf-8"))
+    cases.append(pytest.param(scenario_from_dict(dict(raman, t0=-37.3)), id="raman_t0_-37.3"))
+    long_grid = {"kind": "ac_stark", "b": 0.3, "t_max": 2000, "dt": 0.01}
+    cases.append(pytest.param(scenario_from_dict(long_grid), id="ac_stark_200000_steps"))
+    # a 5-level ladder, drive k on the transition k -> k + 1: four unknowns in each frame
+    ladder = [[[0.05 * (k + 1) if (i, j) == (k + 1, k) else 0 for j in range(5)] for i in range(5)]
+              for k in range(4)]
+    return cases + [pytest.param(scenario_from_dict({
+        "kind": "custom_harmonic", "h0": np.diag(np.linspace(0.0, 0.1, 5)).tolist(),
+        "terms": [{"h": h, "omega": 1.0 + 0.05 * k} for k, h in enumerate(ladder)],
+        "initial": np.diag([1.0, 0, 0, 0, 0]).tolist(), "t_max": 100, "dt": 0.01}), id="ladder")]
+
+
+@pytest.mark.parametrize("cfg", framed_cases())
+def test_framed_trajectory_is_the_lab_frame_one(cfg):
+    # the same RK4 discretization, stepped in the frame: only rounding moves.  Where the
+    # frame is f = 0, the one step is the lab frame's every step, bit for bit
+    for liouvillian in (cfg.hamiltonian.liouvillian, cfg.generator.liouvillian):
+        assert _frame(liouvillian) is not None
+        got = _propagate_density(liouvillian, cfg.initial, cfg.grid).coords
+        want = lab_frame(liouvillian, cfg.initial, cfg.grid)
+        if _frame(liouvillian).any():
+            assert np.abs(got - want).max() <= 1e-12
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_time_independent_model_steps_as_the_matrix_form():
+    rng = np.random.default_rng(15)
+    ham = HarmonicHamiltonian(random_hermitian(rng, 3, 0.3))
+    rho0, grid = random_density(rng, 3), TimeGrid(0.2, 30.0, 0.01)
+    to_vec, from_vec = hermitian_coordinates(3)
+    generator = (from_vec @ ham.liouvillian.terms[0].coeff @ to_vec).real
+    want = propagate_linear(generator, (from_vec @ vectorize(rho0)).real, grid)
+    assert propagate_exact(ham, rho0, grid).coords.tobytes() == want.tobytes()
 
 
 def diagnostic_states(d, kind):
