@@ -7,8 +7,8 @@ integrates each with one chunked, fixed-step classical RK4, giving
 deterministic trajectories suitable for golden-file comparisons.  Density
 matrices are propagated as their real Hermitian coordinates, in which the
 Liouvillian is real.  Where a diagonal frame makes it constant (f = 0 if it is
-time-independent), every RK4 step is one step, built once in that frame; else
-each chunk evaluates it in real arithmetic (:meth:`FourierOperator.evaluate_real`).
+time-independent), every RK4 step is the lab frame's first step, turned by that
+frame; else each chunk evaluates it in real arithmetic (:meth:`FourierOperator.evaluate_real`).
 Nothing here logs: a trajectory carries its diagnostics, for the caller to word.
 """
 
@@ -155,30 +155,20 @@ def _block_products(x, m) -> np.ndarray:
     return r
 
 
-def propagate_linear(generators, v0, grid: TimeGrid) -> np.ndarray:
+def propagate_linear(step, v0, grid: TimeGrid) -> np.ndarray:
     """Integrate dv/dt = L(t) v with fixed-step classical RK4.
 
-    ``generators(times)`` returns the stack of L matrices at a 1-D array of
+    ``step(times)`` returns the stack of L matrices at a 1-D array of
     times; it is called once per chunk of k steps, at the chunk's grid and
     half-step times.  Batched products build each step's increment X = P - I
     (the RK4 transfer matrix minus the identity), then, in blocks of
     m = isqrt(k) steps (the last padded with X = 0), R_i = X_i + R_(i-1) +
     X_i R_(i-1) = P_i...P_1 - I and each block's states s + R_i s from its
-    start state s: about 2 sqrt(k) Python steps per chunk.
-
-    For a time-independent equation, ``generators`` is the one (D, D) matrix L
-    instead: X, and R_1..R_m per block length m, are built once, bit-identical to
-    a callable's.  Returns the (n_steps + 1, len(v0)) trajectory in the dtype of
+    start state s: about 2 sqrt(k) Python steps per chunk.  ``step`` may instead
+    be the increment X of a constant step: R_1..R_m are then built once per block
+    length m.  Returns the (n_steps + 1, len(v0)) trajectory in the dtype of
     ``v0``, or raises ValueError if it diverged.
     """
-    if not callable(generators):  # X of one step's three stage times, all at the one matrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            generators = _increments(grid.dt * np.stack([generators] * 3))
-    return _stepped(generators, v0, grid)
-
-
-def _stepped(step, v0, grid: TimeGrid) -> np.ndarray:
-    """:func:`propagate_linear`, ``step`` its callable or the increment X of a constant step."""
     v = np.array(v0)
     n, dt = grid.n_steps, grid.dt
     out = np.empty((n + 1, v.size), dtype=v.dtype)
@@ -231,9 +221,10 @@ def _frame(liouvillian: FourierOperator):
 def _turned(x, theta) -> np.ndarray:
     """(Rot - I) x on the last axis, Rot turning the pairs (Re, Im) rho_ij that end it by
     ``theta``: from -2 sin^2(theta/2) and sin(theta), so that rounding stays at its size."""
-    c1, s, pairs = -2.0 * np.sin(0.5 * theta) ** 2, np.sin(theta), 2 * np.shape(theta)[-1]
-    re, im, out = x[..., -pairs::2], x[..., 1 - pairs::2], np.zeros(x.shape)
-    out[..., -pairs::2], out[..., 1 - pairs::2] = c1 * re - s * im, s * re + c1 * im
+    c1, s = -2.0 * np.sin(0.5 * theta) ** 2, np.sin(theta)
+    first = x.shape[-1] - 2 * np.shape(theta)[-1]  # column of the first pair: none if no pairs
+    re, im, out = x[..., first::2], x[..., first + 1::2], np.zeros(x.shape)
+    out[..., first::2], out[..., first + 1::2] = c1 * re - s * im, s * re + c1 * im
     return out
 
 
@@ -252,24 +243,19 @@ def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Tr
     v0 = (from_vec @ vectorize(rho0)).real
     if (f := _frame(liouvillian)) is None:  # stepped per chunk, in the lab frame
         return Trajectory(grid.times(), propagate_linear(real.evaluate_real, v0, grid))
-    # y = Rot(t - t0) x, pairs rho_ij turned by (f_i - f_j)(t - t0), has the generator K = L(t0):
-    # each lab-frame step is Q = Rot(dt)(I + X~), X~ the increment of stages dt Rot(s)^T K Rot(s)
-    k = real.evaluate_real(np.array([grid.t0]))[0]
-    if not f.any():  # time-independent
-        return Trajectory(grid.times(), propagate_linear(k, v0, grid))
+    # y = Rot(t - t0) x, pairs rho_ij turned by (f_i - f_j)(t - t0), steps by Q = Rot(dt) P,
+    # P = I + X the lab frame's first step: Q - I = T + (X + T X), T = Rot(dt) - I
     rates, dt = (f[:, None] - f)[np.triu_indices(len(f), 1)], grid.dt
     with np.errstate(over="ignore", invalid="ignore"):
-        eye = np.broadcast_to(np.eye(len(k)), (3, len(k), len(k)))
-        # Rot(s) - I, s = 0, dt/2, dt: the transpose of each row of I turned by -theta
-        turns = _turned(eye, -np.multiply.outer([0.0, 0.5 * dt, dt], rates)[:, None])
-        rots = eye + turns
-        x = _increments(dt * (rots.transpose(0, 2, 1) @ k @ rots))
-        x = turns[2] + (x + turns[2] @ x)  # Q - I, never formed as Rot(dt)(I + X~) - I
-    y = _stepped(x, v0, grid)
-    # back to the lab frame, each row turned by -(f_i - f_j) k dt, CHUNK_BYTES at a time
-    for start in range(0, len(y), rows := max(1, CHUNK_BYTES // y[0].nbytes)):
-        part = y[start:start + rows]
-        part += _turned(part, -np.multiply.outer(dt * np.arange(start, start + len(part)), rates))
+        x = _increments(dt * real.evaluate_real(grid.t0 + (0.5 * dt) * np.arange(3.0)))[0]
+        turn = _turned(np.eye(len(x)), -dt * rates)  # T: the rows of I turned by -dt * rates
+        step = turn + (x + turn @ x)
+    y = propagate_linear(step, v0, grid)
+    if rates.any():  # back to the lab frame, each row turned by -(f_i - f_j) k dt
+        for start in range(0, len(y), rows := max(1, CHUNK_BYTES // y[0].nbytes)):
+            part = y[start:start + rows]  # CHUNK_BYTES at a time
+            k = np.arange(start, start + len(part))
+            part += _turned(part, -np.multiply.outer(dt * k, rates))
     return Trajectory(grid.times(), y)
 
 

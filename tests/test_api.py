@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 import avgdyn
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+SRC_DIR = BENCH_DIR.parent / "src"
 
 PAPER_API = {
     "forward_series", "generator_series", "inverse_series",
@@ -48,3 +51,12 @@ def test_names_the_benchmark_reads_resolve(monkeypatch):
         pass
     config = workloads.make_configs("series_derive", 1)[0]
     assert workloads.derive_reference(config, np.random.default_rng(0))["failures"] == []
+
+
+def test_cli_imports_only_the_declared_dependencies():
+    # pyproject.toml declares numpy alone, and a run's start-up is that import: a test or
+    # scipy import reached from the package would fail where only numpy is installed
+    code = (f"import sys; sys.path.insert(0, {str(SRC_DIR)!r}); import avgdyn.cli; "
+            "print(sorted({'scipy', 'hypothesis', 'pytest'} & {m.split('.')[0] for m in sys.modules}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

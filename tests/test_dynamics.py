@@ -1,5 +1,6 @@
 import itertools
 import json
+import types
 from functools import cached_property
 from pathlib import Path
 
@@ -13,8 +14,10 @@ from avgdyn.dynamics import (
     TimeGrid,
     Trajectory,
     _frame,
+    _increments,
     _propagate_density,
     _steps_per_chunk,
+    _turned,
     propagate_effective,
     propagate_exact,
     propagate_linear,
@@ -298,11 +301,11 @@ def test_h0_hermitian_within_tolerance_runs_as_its_hermitian_part():
 
 def test_overflow_is_reported_at_the_first_non_finite_sample():
     # the first RK4 stage already overflows: one error, no numpy warnings,
-    # for a callable and for the one matrix of a time-independent equation
+    # for a callable and for the increment of a constant step
     def generators(times):
         return np.full((len(times), 1, 1), 1e200)
 
-    for generator in (generators, np.full((1, 1), 1e200)):
+    for generator in (generators, np.full((1, 1), np.inf)):
         with pytest.raises(ValueError, match=r"^propagation diverged at t=0\.6$"):
             propagate_linear(generator, np.array([1.0]), TimeGrid(0.5, 2.0, 0.1))
 
@@ -321,7 +324,8 @@ def test_time_independent_matrix_steps_as_its_callable(size, steps):
     v0 = rng.standard_normal(size)
     grid = grid_with_steps(n, 0.01)
     want = propagate_linear(lambda times: np.repeat(generator[None], len(times), axis=0), v0, grid)
-    assert propagate_linear(generator, v0, grid).tobytes() == want.tobytes()
+    increment = _increments(grid.dt * np.stack([generator] * 3))[0]
+    assert propagate_linear(increment, v0, grid).tobytes() == want.tobytes()
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -337,8 +341,8 @@ def lab_frame(liouvillian, rho0, grid):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_models_evaluate_their_generator_once(monkeypatch, name):
-    # every shipped model is constant in its drives' frame: its generator is read at t0
-    # alone, never per chunk, on grids of 10 000 to 20 000 steps
+    # every shipped model is constant in its drives' frame: its generator is read once, at
+    # the first step's three stage times, never per chunk, on grids of 10 000 to 20 000 steps
     cfg = load_scenario(CONFIGS / f"{name}.json")
     evaluate_real = FourierOperator.evaluate_real
     for propagate, model in ((propagate_exact, cfg.hamiltonian),
@@ -347,7 +351,7 @@ def test_shipped_models_evaluate_their_generator_once(monkeypatch, name):
         monkeypatch.setattr(FourierOperator, "evaluate_real",
                             lambda self, t: calls.append(len(t)) or evaluate_real(self, t))
         traj = propagate(model, cfg.initial, cfg.grid)
-        assert calls == [1]
+        assert calls == [3]
         assert len(traj.coords) == cfg.grid.n_steps + 1 > _steps_per_chunk(9, float)
 
 
@@ -392,6 +396,18 @@ def test_frame_of_no_terms_is_zero():
         assert np.array_equal(_frame(FourierOperator(d * d)), np.zeros(d))
 
 
+def test_turned_is_the_rotation_minus_identity_of_the_trailing_pairs():
+    # with no pairs nothing turns (a d = 1 model's frame); with one, the last two columns
+    assert np.array_equal(_turned(np.ones((3, 1)), np.zeros((3, 0))), np.zeros((3, 1)))
+    rng = np.random.default_rng(16)
+    x, theta = rng.standard_normal((4, 3)), rng.uniform(-np.pi, np.pi, (4, 1))
+    c, s = np.cos(theta[:, 0]), np.sin(theta[:, 0])
+    rot = np.zeros((4, 3, 3))
+    rot[:, 0, 0], rot[:, 1, 1], rot[:, 1, 2], rot[:, 2, 1], rot[:, 2, 2] = 1.0, c, -s, s, c
+    assert_allclose(_turned(x, theta), np.einsum("tij,tj->ti", rot - np.eye(3), x),
+                    rtol=0, atol=1e-15)
+
+
 def framed_cases():
     cases = [pytest.param(load_scenario(CONFIGS / f"{name}.json"), id=name) for name in SHIPPED]
     raman = json.loads((CONFIGS / "raman.json").read_text(encoding="utf-8"))
@@ -401,10 +417,16 @@ def framed_cases():
     # a 5-level ladder, drive k on the transition k -> k + 1: four unknowns in each frame
     ladder = [[[0.05 * (k + 1) if (i, j) == (k + 1, k) else 0 for j in range(5)] for i in range(5)]
               for k in range(4)]
-    return cases + [pytest.param(scenario_from_dict({
+    cases.append(pytest.param(scenario_from_dict({
         "kind": "custom_harmonic", "h0": np.diag(np.linspace(0.0, 0.1, 5)).tolist(),
         "terms": [{"h": h, "omega": 1.0 + 0.05 * k} for k, h in enumerate(ladder)],
-        "initial": np.diag([1.0, 0, 0, 0, 0]).tolist(), "t_max": 100, "dt": 0.01}), id="ladder")]
+        "initial": np.diag([1.0, 0, 0, 0, 0]).tolist(), "t_max": 100, "dt": 0.01}), id="ladder"))
+    # a time-independent 3-level model, the frame f = 0 of both its generators
+    rng = np.random.default_rng(15)
+    ham = HarmonicHamiltonian(random_hermitian(rng, 3, 0.3))
+    static = types.SimpleNamespace(hamiltonian=ham, generator=EffectiveGenerator(ham),
+                                   initial=random_density(rng, 3), grid=TimeGrid(0.2, 30.0, 0.01))
+    return cases + [pytest.param(static, id="static_3_level")]
 
 
 @pytest.mark.parametrize("cfg", framed_cases())
@@ -419,16 +441,6 @@ def test_framed_trajectory_is_the_lab_frame_one(cfg):
             assert np.abs(got - want).max() <= 1e-12
         else:
             assert got.tobytes() == want.tobytes()
-
-
-def test_time_independent_model_steps_as_the_matrix_form():
-    rng = np.random.default_rng(15)
-    ham = HarmonicHamiltonian(random_hermitian(rng, 3, 0.3))
-    rho0, grid = random_density(rng, 3), TimeGrid(0.2, 30.0, 0.01)
-    to_vec, from_vec = hermitian_coordinates(3)
-    generator = (from_vec @ ham.liouvillian.terms[0].coeff @ to_vec).real
-    want = propagate_linear(generator, (from_vec @ vectorize(rho0)).real, grid)
-    assert propagate_exact(ham, rho0, grid).coords.tobytes() == want.tobytes()
 
 
 def diagnostic_states(d, kind):
