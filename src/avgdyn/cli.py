@@ -42,8 +42,13 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 with one line, as any invalid input; subparsers too
+        raise ScenarioError([message])
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avgdyn",
         description="Exact vs averaged density-matrix dynamics for harmonic drives",
     )
@@ -232,8 +237,8 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except ScenarioError as exc:
         for problem in exc.problems:

@@ -84,8 +84,7 @@ class Trajectory:
     were propagated in.
 
     Trace drift, purity, and the minimum eigenvalue of a 2-level state are read off
-    x; complex states are built only for the minimum eigenvalue at d != 2 (and by
-    callers, such as the d = 3 Bloch columns)."""
+    x; complex states are built only for the minimum eigenvalue at d != 2."""
 
     times: np.ndarray
     coords: np.ndarray  # shape (n_samples, d**2)
@@ -96,14 +95,10 @@ class Trajectory:
 
     @property
     def states(self) -> np.ndarray:
-        """The (n_samples, d, d) states, exactly Hermitian, copied from x on each access:
-        uncached, they are held together with x only while a diagnostic reads them."""
+        """The (n_samples, d, d) states from x, exact (``to_vec`` is 0, ±1, ±i) and so exactly
+        Hermitian; uncached, held with x only while the d != 2 minimum eigenvalue reads them."""
         to_vec, _ = hermitian_coordinates(self.dim)
-        flat = np.zeros((len(self.coords), len(to_vec)), dtype=complex)
-        for part, units in ((flat.real, to_vec.real), (flat.imag, to_vec.imag)):
-            for row, k in zip(*np.nonzero(units)):  # each unit 1 or -1
-                part[:, row] = units[row, k] * self.coords[:, k]
-        return unvectorize(flat)
+        return unvectorize(np.einsum("tk,vk->tv", self.coords, to_vec))
 
     # computed once: a run reads each diagnostic for its CSV and its report
     @cached_property

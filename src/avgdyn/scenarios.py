@@ -25,7 +25,8 @@ from .averaging import validity_ratio
 from .dynamics import (MIN_STEP_ULPS, RK4_STEP_LIMIT, TRACE_TOL, TimeGrid, Trajectory,
                        propagate_effective, propagate_exact)
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian, default_filter
-from .linalg import BLOCH_LABELS, POSITIVITY_TOL, bloch_decompose, upper_triangle, validate_density
+from .linalg import (BLOCH_LABELS, POSITIVITY_TOL, bloch_decompose, hermitian_coordinates,
+                     unvectorize, upper_triangle, validate_density)
 from .signals import MIN_SAMPLES, at_rounding_floor, dominant_frequency, lowpass_series
 
 __all__ = [
@@ -53,10 +54,10 @@ KINDS = tuple(_KIND_KEYS)
 # Values per block of CSV rows formatted and written at once: bounds the
 # memory of writing a record independently of its length.
 CSV_BLOCK_VALUES = 16 * 1024
-# Largest estimate of the arrays a run holds, in bytes (2 GiB).  A run keeps
-# one trajectory's real coordinates, the complex states a diagnostic builds
-# from them (8 + 16 bytes per entry, within 2 * 16) and the two records, so a
-# grid of n_samples needs at most n_samples * (2 * 16 * d**2 + 2 * 8 * c)
+# Largest estimate of the arrays a run holds, in bytes (2 GiB).  A run keeps one
+# trajectory's real coordinates, the complex states its d != 2 minimum eigenvalue
+# builds from them (8 + 16 bytes per entry, within 2 * 16) and the two records,
+# so a grid of n_samples needs at most n_samples * (2 * 16 * d**2 + 2 * 8 * c)
 # bytes for c CSV columns; larger grids are rejected at validation.  A 2-level
 # run builds no complex states, so for it the estimate stays an upper bound.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
@@ -345,14 +346,17 @@ def _record_columns(d) -> tuple[str, ...]:
 
 
 def _bytes_per_sample(d) -> int:
-    """Bytes a run holds per grid sample, at most: twice one trajectory's complex states
-    (its real coordinates and the states built from them) and the two records' rows."""
+    """Bytes a run holds per grid sample, at most: twice one trajectory's complex states (its
+    real coordinates and the states its d != 2 minimum eigenvalue builds) and two records' rows."""
     return 2 * 16 * d * d + 2 * 8 * len(_record_columns(d))
 
 
 def build_record(traj: Trajectory) -> TrajectoryRecord:
     """Tabulate a trajectory in the columns of :func:`_record_columns`."""
-    bloch = [bloch_decompose(traj.states)] if traj.dim == 3 else []
+    bloch = []
+    if traj.dim == 3:  # linear in x: each unit state's Bloch components, a 9 x 8 map
+        units = bloch_decompose(unvectorize(hermitian_coordinates(3)[0].T))
+        bloch = [np.einsum("tk,kb->tb", traj.coords, units)]
     series = [traj.times, traj.coords, *bloch, traj.purity, traj.min_eigenvalues]
     return TrajectoryRecord(_record_columns(traj.dim), np.column_stack(series))
 

@@ -2,6 +2,7 @@ import errno
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -711,6 +712,28 @@ def test_unusable_path_is_one_line_validation_error(small_config, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: [Errno ") and reason in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["compare", "a", "b", "--cutoff", "abc"], r"argument --cutoff: invalid float value: 'abc'"),
+    (["derive", "--order", "x", "c.json"], r"argument --order: invalid int value: 'x'"),
+    (["run", "c.json"], r"the following arguments are required: --out"),
+    (["bogus"], r"argument command: invalid choice: 'bogus' \(choose from .*\)"),
+    ([], r"the following arguments are required: command"),
+], ids=["cutoff", "order", "no_out", "bogus", "no_command"])
+def test_argument_error_is_one_line_validation_error(capsys, argv, line):
+    # argparse would exit 2, the runtime-error code, with a usage line and an error line
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"error: {line}\n", err)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--help"])
+    assert exc.value.code == 0
+    assert "--cutoff" in capsys.readouterr().out
 
 
 def _raise_if(exc):

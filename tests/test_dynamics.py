@@ -471,12 +471,22 @@ def test_diagnostics_match_their_matrix_definitions(d, kind):
     assert np.abs(traj.min_eigenvalues - np.linalg.eigvalsh(states)[:, 0]).max() <= 1e-15
 
 
-def test_two_level_diagnostics_and_record_never_build_complex_states(monkeypatch):
-    traj = propagate_exact(ac_stark(), PLUS, TimeGrid(0.0, 5.0, 0.01))
+@pytest.mark.parametrize("d", [2, 3])
+def test_diagnostics_and_record_build_complex_states_only_for_eigenvalues(monkeypatch, d):
+    # the d = 3 Bloch columns are read off the coordinates: only eigvalsh needs states
+    if d == 2:
+        traj = propagate_exact(ac_stark(), PLUS, TimeGrid(0.0, 5.0, 0.01))
+    else:
+        rng = np.random.default_rng(3)
+        traj = propagate_exact(random_harmonic(rng, d, 2, strength=0.3),
+                               random_density(rng, d), TimeGrid(0.0, 5.0, 0.01))
+    built, states = [], Trajectory.states.fget
 
-    def no_states(self):
-        raise AssertionError("complex states built")
+    def counted(self):
+        built.append(self)
+        return states(self)
 
-    monkeypatch.setattr(Trajectory, "states", property(no_states))
-    assert traj.purity.shape == traj.min_eigenvalues.shape == (501,)
-    assert build_record(traj).data.shape == (501, 7)
+    monkeypatch.setattr(Trajectory, "states", property(counted))
+    assert traj.trace_drift.shape == traj.purity.shape == traj.min_eigenvalues.shape == (501,)
+    assert build_record(traj).data.shape == (501, {2: 7, 3: 20}[d])
+    assert len(built) == (d == 3)

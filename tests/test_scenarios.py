@@ -348,6 +348,37 @@ class TestRunScenario:
                                    for label in BLOCH_LABELS])
         assert np.abs(stacked - per_row).max() <= 1e-15
 
+    def test_bloch_columns_are_the_state_columns(self):
+        # x, y of each pair are Re and -Im of its entry bit for bit, z is exactly
+        # (rho11 - rho22)/2, and w is within rounding of its formula
+        rng = np.random.default_rng(11)
+        states = np.stack([random_density(rng, 3) for _ in range(400)])
+        _, from_vec = hermitian_coordinates(3)
+        coords = (states.transpose(0, 2, 1).reshape(len(states), 9) @ from_vec.T).real
+        record = build_record(Trajectory(np.arange(len(states), dtype=float), coords))
+        col = record.column
+        for x, y, pair in (("x", "y", "12"), ("xa", "ya", "13"), ("xb", "yb", "23")):
+            assert np.array_equal(col(f"bloch_{x}"), col(f"rho{pair}_re"))
+            assert np.array_equal(col(f"bloch_{y}"), -col(f"rho{pair}_im"))
+        rho11, rho22, rho33 = col("rho11_re"), col("rho22_re"), col("rho33_re")
+        assert np.array_equal(col("bloch_z"), (rho11 - rho22) / 2.0)
+        w = (rho11 + rho22 - 2.0 * rho33) / (2.0 * np.sqrt(3.0))
+        assert np.abs(col("bloch_w") - w).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("config, reads", [(AC_MINIMAL, 0), (RAMAN, 2)],
+                             ids=["ac_stark", "raman"])
+    def test_run_builds_complex_states_once_per_model_for_eigenvalues(self, monkeypatch,
+                                                                      config, reads):
+        built, states = [], Trajectory.states.fget
+
+        def counted(self):
+            built.append(self)
+            return states(self)
+
+        monkeypatch.setattr(Trajectory, "states", property(counted))
+        run_scenario(scenario_from_dict(dict(config, t_max=20)))
+        assert len(built) == reads
+
 
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
