@@ -6,15 +6,14 @@ Bloch system are all linear, dv/dt = L(t) v: :func:`propagate_linear`
 integrates each with one chunked, fixed-step classical RK4, giving
 deterministic trajectories suitable for golden-file comparisons.  Density
 matrices are propagated as their real Hermitian coordinates, in which the
-Liouvillian is real.  Where a diagonal frame makes it constant (f = 0 if it is
-time-independent), every RK4 step is the lab frame's first step, turned by that
-frame; else each chunk evaluates it in real arithmetic (:meth:`FourierOperator.evaluate_real`).
+Liouvillian is real.  Where a diagonal frame makes it a constant K (f = 0 if it is
+time-independent), the one step is e^(dt K) to rounding, RK4 scaled and squared;
+else each chunk evaluates it in real arithmetic (:meth:`FourierOperator.evaluate_real`).
 Nothing here logs: a trajectory carries its diagnostics, for the caller to word.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ import numpy as np
 
 from .fourier import FREQUENCY_MERGE_TOL, FourierOperator
 from .harmonic import EffectiveGenerator, HarmonicHamiltonian
-from .linalg import hermitian_coordinates, unvectorize, validate_density, vectorize
+from .linalg import hermitian_coordinates, validate_density, vectorize
 
 __all__ = ["TimeGrid", "Trajectory", "propagate_linear", "propagate_exact",
            "propagate_effective"]
@@ -46,6 +45,9 @@ RK4_STEP_LIMIT = 0.9 * 2.0 * math.sqrt(2.0)
 # Largest imaginary part of a real-coordinate Liouvillian, relative to its largest
 # coefficient, dropped as rounding: 800 random ones (d = 2-4) reached 3.2e-16.
 HERMITICITY_TOL = 1e-13
+# Halvings of a framed model's step before its RK4 increment is squared back up: they shrink
+# RK4's error 2^-64-fold, below rounding while dt * ||K|| is up to about 10.
+HALVINGS = 16
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,15 @@ class Trajectory:
 
     @property
     def states(self) -> np.ndarray:
-        """The (n_samples, d, d) states from x, exact (``to_vec`` is 0, ±1, ±i) and so exactly
-        Hermitian; uncached, held with x only while the d != 2 minimum eigenvalue reads them."""
-        to_vec, _ = hermitian_coordinates(self.dim)
-        return unvectorize(np.einsum("tk,vk->tv", self.coords, to_vec))
+        """The (n_samples, d, d) states, assigned from x and so exact and exactly Hermitian;
+        uncached, held with x only while the d != 2 minimum eigenvalue reads them."""
+        d, x = self.dim, self.coords
+        i, j = np.triu_indices(d, 1)  # the pairs' order in x
+        rho = np.zeros((len(x), d, d), dtype=complex)
+        rho.real[:, range(d), range(d)] = x[:, :d]
+        rho.real[:, i, j] = rho.real[:, j, i] = x[:, d::2]
+        rho.imag[:, i, j], rho.imag[:, j, i] = x[:, d + 1::2], -x[:, d + 1::2]
+        return rho
 
     # computed once: a run reads each diagnostic for its CSV and its report
     @cached_property
@@ -122,7 +129,8 @@ class Trajectory:
 
 
 def _steps_per_chunk(size, dtype) -> int:
-    """Steps k per chunk: its 2k+1 generator matrices fit in CHUNK_BYTES, its R stack in ~half."""
+    """Steps k per chunk: its 2k+1 generator matrices fit in CHUNK_BYTES, its R stack in half
+    that, and each doubling round's two temporaries in CHUNK_BYTES again."""
     return max(1, CHUNK_BYTES // (2 * size * size * np.dtype(dtype).itemsize))
 
 
@@ -139,54 +147,42 @@ def _increments(hl) -> np.ndarray:
     return (k1 + 2.0 * (k2 + k3) + k4) / 6.0
 
 
-def _block_products(x, m) -> np.ndarray:
-    """R_i = X_i + R_(i-1) + X_i R_(i-1) = P_i...P_1 - I, i = 1..m, of each block of m
-    steps with increments ``x``, the last block padded with X = 0."""
-    size = x.shape[-1]
-    r = np.zeros((-(-len(x) // m), m, size, size), dtype=x.dtype)
-    r.reshape(-1, size, size)[:len(x)] = x
-    for i in range(1, m):
-        r[:, i] += r[:, i - 1] + r[:, i] @ r[:, i - 1]
-    return r
-
-
 def propagate_linear(step, v0, grid: TimeGrid) -> np.ndarray:
     """Integrate dv/dt = L(t) v with fixed-step classical RK4.
 
     ``step(times)`` returns the stack of L matrices at a 1-D array of
     times; it is called once per chunk of k steps, at the chunk's grid and
     half-step times.  Batched products build each step's increment X = P - I
-    (the RK4 transfer matrix minus the identity), then, in blocks of
-    m = isqrt(k) steps (the last padded with X = 0), R_i = X_i + R_(i-1) +
-    X_i R_(i-1) = P_i...P_1 - I and each block's states s + R_i s from its
-    start state s: about 2 sqrt(k) Python steps per chunk.  ``step`` may instead
-    be the increment X of a constant step: R_1..R_m are then built once per block
-    length m.  Returns the (n_steps + 1, len(v0)) trajectory in the dtype of
-    ``v0``, or raises ValueError if it diverged.
+    (the RK4 transfer matrix minus the identity), then the chunk's prefix products
+    R_i = P_i...P_1 - I by doubling, R <- R' + R + R'R for the product P'P of the
+    adjacent spans, in ceil(log2 k) rounds, and its states s + R_i s from its start
+    state s.  ``step`` may instead be the increment X of a constant step: rows
+    [j, 2j) are then rows [0, j) stepped by R = (I + X)^j - I, j = 1, 2, 4, ....
+    Returns the (n_steps + 1, len(v0)) trajectory in the dtype of ``v0``, or raises
+    ValueError if it diverged.
     """
     v = np.array(v0)
     n, dt = grid.n_steps, grid.dt
     out = np.empty((n + 1, v.size), dtype=v.dtype)
     out[0] = v
-    chunk = _steps_per_chunk(v.size, v.dtype)
-    products = {}  # block length m -> R_1..R_m of a constant step
     # a diverging solution overflows: it is reported below, once
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, chunk):
-            k = min(chunk, n - start)
-            m = math.isqrt(k)
-            if not callable(step):
-                if m not in products:
-                    products[m] = _block_products(np.broadcast_to(step, (m, v.size, v.size)), m)[0]
-                r = itertools.repeat(products[m])  # every block of the chunk
-            else:
+        if not callable(step):
+            r, j = step, 1
+            while j <= n:
+                rows = out[j:2 * j]
+                np.matmul(out[:len(rows)], r.T, out=rows)
+                rows += out[:len(rows)]
+                r, j = r + (r + r @ r), 2 * j
+        else:
+            for start in range(0, n, chunk := _steps_per_chunk(v.size, v.dtype)):
+                k = min(chunk, n - start)
                 half_steps = np.arange(2 * start, 2 * (start + k) + 1)
-                hl = dt * step(grid.t0 + (0.5 * dt) * half_steps)
-                r = _block_products(_increments(hl), m)
-            for first, block in zip(range(start + 1, start + k + 1, m), r):
-                rows = out[first:min(first + m, start + k + 1)]
-                rows[:] = v + block[:len(rows)] @ v
-                v = rows[-1]
+                r, j = _increments(dt * step(grid.t0 + (0.5 * dt) * half_steps)), 1
+                while j < k:
+                    r[j:] += r[:-j] + r[j:] @ r[:-j]
+                    j *= 2
+                out[start + 1:start + k + 1] = out[start] + r @ out[start]
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise ValueError(f"propagation diverged at t={grid.t0 + dt * finite.argmin():.6g}")
@@ -238,13 +234,16 @@ def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Tr
     v0 = (from_vec @ vectorize(rho0)).real
     if (f := _frame(liouvillian)) is None:  # stepped per chunk, in the lab frame
         return Trajectory(grid.times(), propagate_linear(real.evaluate_real, v0, grid))
-    # y = Rot(t - t0) x, pairs rho_ij turned by (f_i - f_j)(t - t0), steps by Q = Rot(dt) P,
-    # P = I + X the lab frame's first step: Q - I = T + (X + T X), T = Rot(dt) - I
+    # y = Rot(t - t0) x, pairs rho_ij turned by (f_i - f_j)(t - t0), obeys dy/dt = K y with
+    # K = L(t0) + W, W turning each pair at f_i - f_j: its step e^(dt K) - I is the RK4
+    # increment of K over dt / 2^HALVINGS, doubled HALVINGS times
     rates, dt = (f[:, None] - f)[np.triu_indices(len(f), 1)], grid.dt
+    gen = real.evaluate_real(np.array([grid.t0]))[0]
+    gen[len(f):, len(f):] += np.kron(np.diag(rates), [[0.0, -1.0], [1.0, 0.0]])  # W: the pairs
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _increments(dt * real.evaluate_real(grid.t0 + (0.5 * dt) * np.arange(3.0)))[0]
-        turn = _turned(np.eye(len(x)), -dt * rates)  # T: the rows of I turned by -dt * rates
-        step = turn + (x + turn @ x)
+        step = _increments(np.broadcast_to(dt / 2 ** HALVINGS * gen, (3,) + gen.shape))[0]
+        for _ in range(HALVINGS):
+            step = step + (step + step @ step)
     y = propagate_linear(step, v0, grid)
     if rates.any():  # back to the lab frame, each row turned by -(f_i - f_j) k dt
         for start in range(0, len(y), rows := max(1, CHUNK_BYTES // y[0].nbytes)):
@@ -255,7 +254,7 @@ def _propagate_density(liouvillian: FourierOperator, rho0, grid: TimeGrid) -> Tr
 
 
 def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> Trajectory:
-    """Integrate i d(rho)/dt = [H(t), rho] with fixed-step RK4.
+    """Integrate i d(rho)/dt = [H(t), rho]: exactly in its drives' frame, else by RK4.
 
     H(t) is Hermitian by construction of the HarmonicHamiltonian; the trace
     is never rescaled, and ``Trajectory.trace_drift`` measures how far it moved.
@@ -264,7 +263,7 @@ def propagate_exact(hamiltonian: HarmonicHamiltonian, rho0, grid: TimeGrid) -> T
 
 
 def propagate_effective(generator: EffectiveGenerator, rho0, grid: TimeGrid) -> Trajectory:
-    """Integrate the averaged master equation with fixed-step RK4.
+    """Integrate the averaged master equation: exactly in its drives' frame, else by RK4.
 
     The averaged equation is not guaranteed completely positive: the state
     is never clamped, and ``Trajectory.min_eigenvalues`` measures its dip.

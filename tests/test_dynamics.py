@@ -24,7 +24,7 @@ from avgdyn.dynamics import (
 )
 from avgdyn.fourier import FourierOperator
 from avgdyn.harmonic import EffectiveGenerator, HarmonicHamiltonian
-from avgdyn.linalg import hermitian_coordinates, vectorize
+from avgdyn.linalg import hermitian_coordinates, unvectorize, vectorize
 from avgdyn.raman import RamanParams, bloch_matrix, integrate_bloch, raman_coefficients
 from avgdyn.scenarios import build_record, load_scenario, scenario_from_dict
 from avgdyn.signals import dominant_frequency
@@ -201,7 +201,7 @@ class TestPropagateEffective:
 
 
 def chunk_lengths(size, dtype):
-    # a last chunk of 7 steps is stepped in blocks of 2, 2, 2 and a padded 1
+    # a last chunk of 7 steps takes 3 doubling rounds, the last of them over 3 of its steps
     chunk = _steps_per_chunk(size, dtype)
     return [1, chunk, chunk + 1, chunk + 7]
 
@@ -213,9 +213,9 @@ def grid_with_steps(n, dt):
 
 
 class TestAgainstPerStepLoop:
-    """The chunked, blocked propagator against the per-step loop it replaced,
+    """The chunked, doubling propagator against the per-step loop it replaced,
     for one step, exactly one chunk, one chunk plus a step, and a last chunk
-    that is not a whole number of blocks.  Density matrices are propagated
+    whose length is not a power of 2.  Density matrices are propagated
     in float64 coordinates, so their chunks are float64 chunks."""
 
     @pytest.mark.parametrize("n", chunk_lengths(9, float))
@@ -313,8 +313,9 @@ def test_overflow_is_reported_at_the_first_non_finite_sample():
 @pytest.mark.parametrize("size", [1, 4, 9])
 @pytest.mark.parametrize("steps", ["one", "whole chunks", "3 chunks + 7", "zero generator"])
 def test_time_independent_matrix_steps_as_its_callable(size, steps):
-    # a last chunk of 7 steps has blocks of 2 where the full chunks' are longer,
-    # and its last block is zero-padded
+    # the constant step doubles over the whole grid, rows [j, 2j) from rows [0, j), through a
+    # last round that fills only part of its rows; the callable is scanned per chunk.  Both
+    # are (I + X)^k v0 at every row k
     chunk = _steps_per_chunk(size, float)
     n = {"one": 1, "whole chunks": 2 * chunk, "3 chunks + 7": 3 * chunk + 7,
          "zero generator": chunk + 7}[steps]
@@ -323,9 +324,14 @@ def test_time_independent_matrix_steps_as_its_callable(size, steps):
     generator = np.zeros((size, size)) if steps == "zero generator" else a - a.T - 0.1 * np.eye(size)
     v0 = rng.standard_normal(size)
     grid = grid_with_steps(n, 0.01)
-    want = propagate_linear(lambda times: np.repeat(generator[None], len(times), axis=0), v0, grid)
     increment = _increments(grid.dt * np.stack([generator] * 3))[0]
-    assert propagate_linear(increment, v0, grid).tobytes() == want.tobytes()
+    want = [np.linalg.matrix_power(np.eye(size) + increment, k) @ v0 for k in range(n + 1)]
+    assert np.abs(propagate_linear(increment, v0, grid) - want).max() <= 1e-13
+
+    def generators(times):
+        return np.repeat(generator[None], len(times), axis=0)
+
+    assert np.abs(propagate_linear(generators, v0, grid) - want).max() <= 1e-13
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -341,8 +347,8 @@ def lab_frame(liouvillian, rho0, grid):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_models_evaluate_their_generator_once(monkeypatch, name):
-    # every shipped model is constant in its drives' frame: its generator is read once, at
-    # the first step's three stage times, never per chunk, on grids of 10 000 to 20 000 steps
+    # every shipped model is constant in its drives' frame: its generator is read once, at t0,
+    # never per chunk, on grids of 10 000 to 20 000 steps
     cfg = load_scenario(CONFIGS / f"{name}.json")
     evaluate_real = FourierOperator.evaluate_real
     for propagate, model in ((propagate_exact, cfg.hamiltonian),
@@ -351,7 +357,7 @@ def test_shipped_models_evaluate_their_generator_once(monkeypatch, name):
         monkeypatch.setattr(FourierOperator, "evaluate_real",
                             lambda self, t: calls.append(len(t)) or evaluate_real(self, t))
         traj = propagate(model, cfg.initial, cfg.grid)
-        assert calls == [3]
+        assert calls == [1]
         assert len(traj.coords) == cfg.grid.n_steps + 1 > _steps_per_chunk(9, float)
 
 
@@ -412,6 +418,8 @@ def framed_cases():
     cases = [pytest.param(load_scenario(CONFIGS / f"{name}.json"), id=name) for name in SHIPPED]
     raman = json.loads((CONFIGS / "raman.json").read_text(encoding="utf-8"))
     cases.append(pytest.param(scenario_from_dict(dict(raman, t0=-37.3)), id="raman_t0_-37.3"))
+    far = dict(raman, t0=1e5, t_max=1e5 + raman["t_max"])
+    cases.append(pytest.param(scenario_from_dict(far), id="raman_t0_1e5"))
     long_grid = {"kind": "ac_stark", "b": 0.3, "t_max": 2000, "dt": 0.01}
     cases.append(pytest.param(scenario_from_dict(long_grid), id="ac_stark_200000_steps"))
     # a 5-level ladder, drive k on the transition k -> k + 1: four unknowns in each frame
@@ -429,18 +437,46 @@ def framed_cases():
     return cases + [pytest.param(static, id="static_3_level")]
 
 
+def frame_exponential(liouvillian, rho0, grid, samples):
+    """The lab-frame states at grid indices ``samples`` from expm of the vec-basis frame
+    generator G = L(t0) + i(I (x) F - F^T (x) I): e^(-iF tau) unvec(e^(tau G) vec rho0) e^(iF tau),
+    tau = t - t0."""
+    f = _frame(liouvillian)
+    eye, frame = np.eye(len(f)), np.diag(f)
+    g = liouvillian.evaluate(np.array([grid.t0]))[0]
+    g = g + 1j * (np.kron(eye, frame) - np.kron(frame, eye))
+    states = []
+    for tau in grid.dt * np.asarray(samples):
+        phase = np.exp(-1j * f * tau)
+        states.append(phase[:, None] * unvectorize(expm(tau * g) @ vectorize(rho0)) * phase.conj())
+    return np.array(states)
+
+
 @pytest.mark.parametrize("cfg", framed_cases())
 def test_framed_trajectory_is_the_lab_frame_one(cfg):
-    # the same RK4 discretization, stepped in the frame: only rounding moves.  Where the
-    # frame is f = 0, the one step is the lab frame's every step, bit for bit
+    # the framed step is e^(dt K) to rounding, so a framed trajectory is the lab frame's exact
+    # one: at 201 samples it is the frame generator's exponential turned back, within 1e-13,
+    # and within 1e-12 on the 200 000-step grid
+    bound = 1e-12 if cfg.grid.n_steps > 100_000 else 1e-13
+    samples = np.linspace(0, cfg.grid.n_steps, 201).round().astype(int)
     for liouvillian in (cfg.hamiltonian.liouvillian, cfg.generator.liouvillian):
         assert _frame(liouvillian) is not None
-        got = _propagate_density(liouvillian, cfg.initial, cfg.grid).coords
-        want = lab_frame(liouvillian, cfg.initial, cfg.grid)
-        if _frame(liouvillian).any():
-            assert np.abs(got - want).max() <= 1e-12
-        else:
-            assert got.tobytes() == want.tobytes()
+        got = _propagate_density(liouvillian, cfg.initial, cfg.grid).states[samples]
+        want = frame_exponential(liouvillian, cfg.initial, cfg.grid, samples)
+        assert np.abs(got - want).max() <= bound
+
+
+def test_lab_frame_rk4_converges_to_the_framed_trajectory_at_fourth_order():
+    # the exact raman.json model stepped per chunk in the lab frame, at dt = 0.04, 0.02 and
+    # 0.01: each halving cuts its gap to the framed (exact) trajectory by about 2^4
+    raman = json.loads((CONFIGS / "raman.json").read_text(encoding="utf-8"))
+    gaps = []
+    for dt in (0.04, 0.02, 0.01):
+        cfg = scenario_from_dict(dict(raman, t_max=100, dt=dt))
+        liouvillian = cfg.hamiltonian.liouvillian
+        framed = _propagate_density(liouvillian, cfg.initial, cfg.grid).coords
+        gaps.append(np.abs(lab_frame(liouvillian, cfg.initial, cfg.grid) - framed).max())
+    assert 14 <= gaps[0] / gaps[1] <= 18 and 14 <= gaps[1] / gaps[2] <= 18
 
 
 def diagnostic_states(d, kind):

@@ -234,6 +234,23 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert result.report["purity_drift_effective"] <= 1e-9
 
+    @pytest.mark.parametrize("name, zero_columns", [
+        ("ac_stark", ()),
+        ("raman", ("rho13_re", "rho13_im", "rho23_re", "rho23_im",
+                   "bloch_xa", "bloch_ya", "bloch_xb", "bloch_yb")),
+        ("raman_equal_detuning", ("rho33_re", "rho12_im", "rho13_re", "rho13_im", "rho23_re",
+                                  "rho23_im", "bloch_y", "bloch_z", "bloch_xa", "bloch_ya",
+                                  "bloch_xb", "bloch_yb", "min_eig")),
+    ])
+    def test_shipped_exact_models_stay_pure_and_averaged_zeros_stay_zero(self, name, zero_columns):
+        # both models step exactly in their drives' frame: the exact model's purity and
+        # spectrum move by rounding only, and what the averaged model never couples stays 0
+        result = run_scenario(load_scenario(CONFIG_DIR / f"{name}.json"))
+        assert result.report["purity_drift_exact"] <= 2e-14
+        assert result.report["min_eigenvalue_exact"] >= -2e-14
+        for column in zero_columns:
+            assert not result.effective.column(column).any(), column
+
     def test_write_gets_each_record_before_the_next_model_runs(self, monkeypatch):
         calls = []
         propagate = avgdyn.scenarios.propagate_effective
