@@ -204,8 +204,9 @@ def _cmd_compare(args) -> int:
 
 
 def _format_matrix(m) -> str:
-    return np.array2string(np.asarray(m), precision=6, suppress_small=True,
-                           max_line_width=120)
+    """One line per row; entries are complex literals to 6 decimals, two spaces apart."""
+    row = "  ".join(["% .6f%+.6fj"] * m.shape[1])
+    return "\n".join([row] * len(m)) % tuple(np.stack((m.real, m.imag), -1).ravel().tolist())
 
 
 def _cmd_derive(args) -> int:

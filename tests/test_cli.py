@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import avgdyn.cli
 import avgdyn.scenarios
-from avgdyn.cli import _dumps, _in_child, main
+from avgdyn.averaging import generator_series
+from avgdyn.cli import _dumps, _format_matrix, _in_child, main
 from avgdyn.harmonic import EffectiveGenerator
 from avgdyn.scenarios import KINDS, TrajectoryRecord, emit_csv, load_scenario, run_scenario
 
@@ -660,6 +661,60 @@ class TestDerive:
         assert main(["derive", "--order", "3", str(cfg)]) == 1
         assert capsys.readouterr() == (
             "", "error: drive operators too large: the generator series overflows\n")
+
+    @pytest.mark.parametrize("name", ["ac_stark.json", "raman.json", "raman_equal_detuning.json",
+                                      "custom_d4"])
+    def test_printout_matches_library(self, name, tmp_path, capsys):
+        if name == "custom_d4":
+            # d = 4 with three drives 0.05 apart: their differences pass the
+            # default cutoff, their sums do not
+            rng = np.random.default_rng(4)
+            a, *hs = 0.1 * (rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4)))
+
+            def as_json(m):
+                return [[[v.real, v.imag] for v in row] for row in m]
+            path = tmp_path / "custom_d4.json"
+            path.write_text(json.dumps({
+                "kind": "custom_harmonic", "h0": as_json((a + a.conj().T) / 2),
+                "terms": [{"h": as_json(h), "omega": 1.0 + 0.05 * k} for k, h in enumerate(hs)],
+                "initial": np.diag([1.0, 0, 0, 0]).tolist(), "t_max": 10, "dt": 0.01,
+            }), encoding="utf-8")
+        else:
+            path = CONFIG_DIR / name
+        assert main(["derive", "--order", "3", str(path)]) == 0
+        headers, blocks = [], []
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("#"):
+                headers.append(line)
+                blocks.append([])
+            else:
+                blocks[-1].append([complex(token) for token in line.split()])
+        cfg = load_scenario(path)
+        t0 = cfg.grid.t0
+        assert headers == [f"# scenario kind: {cfg.kind}",
+                           "# effective Hamiltonian at t0=0",
+                           "# decoherence superoperator at t0=0",
+                           *(f"# order-{k} generator at t0=0 (acts on vec(rho))" for k in (1, 2, 3))]
+        series = generator_series(cfg.hamiltonian.as_fourier(), cfg.averaging_filter(), t0, 3)
+        want = [cfg.generator.effective_hamiltonian(t0), cfg.generator.decoherence_superop(t0),
+                *(series.maps[k].evaluate(t0) for k in (1, 2, 3))]
+        d = cfg.hamiltonian.dim
+        assert blocks[0] == []
+        for k, (rows, matrix) in enumerate(zip(blocks[1:], want, strict=True)):
+            n = d if k == 0 else d * d  # H_eff, then the superoperators on vec(rho)
+            assert [len(row) for row in rows] == [n] * n
+            got = np.array(rows)
+            np.testing.assert_allclose(got.real, matrix.real, rtol=0, atol=5e-7)
+            np.testing.assert_allclose(got.imag, matrix.imag, rtol=0, atol=5e-7)
+
+    def test_format_edge_cases(self):
+        # values below 5e-7 print as +-0.000000, the sign kept
+        assert _format_matrix(np.array([[1e-9, -1e-9], [-0.0, 12.5 - 3.25j]])) == (
+            " 0.000000+0.000000j  -0.000000+0.000000j\n"
+            "-0.000000+0.000000j   12.500000-3.250000j")
+        lines = _format_matrix(np.arange(256.0).reshape(16, 16) * (1 - 1j)).split("\n")
+        assert [len(line.split()) for line in lines] == [16] * 16
+        assert _format_matrix(np.array([[2 - 1e-3j]])) == " 2.000000-0.001000j"
 
 
 def test_delta_only_labels_the_run(tmp_path, capsys):
