@@ -15,6 +15,12 @@ drive frequencies are well separated from the pass band).
 Superoperator-valued sums reuse the same class with ``d**2 x d**2``
 coefficients; :func:`commutator` lifts H(t) to the sum of
 rho -> [H(t), rho].
+
+Every operator is held merged (:func:`_merge`): terms of one (p, nu) group
+summed, none with a zero coefficient.  A result whose terms can share a group
+(construction, sums, products, derivatives, antiderivatives) is merged once;
+negation, scaling, low-pass masking and the commutator lift map merged terms
+to merged terms, so they only drop coefficients that became exactly zero.
 """
 
 from __future__ import annotations
@@ -46,40 +52,50 @@ class FourierTerm(NamedTuple):
 
 
 def _merge(coeffs, nus, ps):
-    """Canonical (coeffs, nus, ps) arrays of the sum of the given terms.
+    """Sorted, grouped (coeffs, nus, ps) arrays of the sum of the given terms.
 
     ``|nu| <= FREQUENCY_MERGE_TOL`` snaps to 0.0.  Terms are stably sorted
     by (p, nu); a term starts a new group when p changes or nu exceeds the
     previous term's by more than the tolerance.  A group keeps its first nu
     and sums its coefficients in sorted order (``np.add.at``; ``reduceat``
-    does not add in order).  Groups that sum to exact zero are dropped.  The
-    result (read-only coefficients) merges to itself bit for bit: its groups
-    start more than the tolerance apart and no nu is -0.0.
+    does not add in order); when every term starts its own group there is
+    nothing to sum.  Groups that sum to exact zero are left for
+    :func:`_nonzero` to drop.  The result merges to itself bit for bit:
+    its groups start more than the tolerance apart and no nu is -0.0, and
+    that stays so for any subset of its terms in the same order.
     """
     nus = np.where(np.abs(nus) <= FREQUENCY_MERGE_TOL, 0.0, nus)
     order = np.lexsort((nus, ps))
     coeffs, nus, ps = coeffs[order], nus[order], ps[order]
     start = np.ones(len(nus), dtype=bool)
-    start[1:] = (ps[1:] != ps[:-1]) | (np.diff(nus) > FREQUENCY_MERGE_TOL)
+    start[1:] = (ps[1:] != ps[:-1]) | (nus[1:] - nus[:-1] > FREQUENCY_MERGE_TOL)
+    if start.all():
+        return coeffs, nus, ps
     sums = coeffs[start]
     np.add.at(sums, np.cumsum(start)[~start] - 1, coeffs[~start])
-    keep = np.any(sums != 0, axis=(1, 2))
-    sums = sums[keep]
-    sums.setflags(write=False)
-    return sums, nus[start][keep], ps[start][keep]
+    return sums, nus[start], ps[start]
+
+
+def _nonzero(coeffs, nus, ps):
+    """The terms whose coefficient is not exactly zero; coefficients read-only."""
+    keep = coeffs.any(axis=(1, 2))
+    if not keep.all():
+        coeffs, nus, ps = coeffs[keep], nus[keep], ps[keep]
+    coeffs.setflags(write=False)
+    return coeffs, nus, ps
 
 
 def _operator(dim, coeffs, nus, ps):
-    """Operator of the given terms, merged by :func:`_merge`."""
+    """Operator of terms in merged order, less any whose coefficient is exactly zero."""
     op = object.__new__(FourierOperator)
     op.dim = dim
-    op._coeffs, op._nus, op._ps = _merge(coeffs, nus, ps)
+    op._coeffs, op._nus, op._ps = _nonzero(coeffs, nus, ps)
     return op
 
 
 def _concat(dim, *parts):
-    """Operator holding the terms of every (coeffs, nus, ps) part."""
-    return _operator(dim, *(np.concatenate(arrays) for arrays in zip(*parts)))
+    """Operator of the merged terms of every (coeffs, nus, ps) part."""
+    return _operator(dim, *_merge(*(np.concatenate(arrays) for arrays in zip(*parts))))
 
 
 class FourierOperator:
@@ -105,12 +121,15 @@ class FourierOperator:
             if int(p) < 0:
                 raise ValueError("polynomial degree must be non-negative")
             coeffs[k], nus[k], ps[k] = c, float(nu), int(p)
-        self._coeffs, self._nus, self._ps = _merge(coeffs, nus, ps)
+        self._coeffs, self._nus, self._ps = _nonzero(*_merge(coeffs, nus, ps))
 
     @classmethod
     def constant(cls, op):
-        op = np.asarray(op, dtype=complex)
-        return cls(op.shape[0], [(op, 0.0, 0)])
+        """The sum whose one term is the square matrix ``op`` (none if it is zero)."""
+        op = np.array(op, dtype=complex)
+        if op.ndim != 2 or op.shape[0] != op.shape[1] or not op.size:
+            raise ValueError(f"constant coefficient shape {op.shape} is not a nonempty square")
+        return _operator(len(op), op[None], np.zeros(1), np.zeros(1, dtype=np.int64))
 
     @classmethod
     def identity(cls, dim):
@@ -153,7 +172,8 @@ class FourierOperator:
         coeffs = self._coeffs[:, None] @ other._coeffs[None, :]
         nus = self._nus[:, None] + other._nus[None, :]
         ps = self._ps[:, None] + other._ps[None, :]
-        return _operator(self.dim, coeffs.reshape(-1, self.dim, self.dim), nus.ravel(), ps.ravel())
+        coeffs = coeffs.reshape(-1, self.dim, self.dim)
+        return _operator(self.dim, *_merge(coeffs, nus.ravel(), ps.ravel()))
 
     def differentiate(self):
         c, nus, ps = self._coeffs, self._nus, self._ps
@@ -238,8 +258,8 @@ def lowpass_average(f: FourierOperator, cutoff: float) -> FourierOperator:
 def commutator(h: FourierOperator) -> FourierOperator:
     """Superoperator-valued sum of the map rho -> [h(t), rho].
 
-    Lifted term by term and merged like every other result, so a term whose
-    commutator is exactly zero is dropped.
+    Lifted term by term in h's merged order; a term whose commutator is
+    exactly zero is dropped.
     """
     one = np.eye(h.dim, dtype=complex)
     coeffs = superop(h._coeffs, one) - superop(one, h._coeffs)

@@ -15,7 +15,8 @@ frequencies 1/w±_nm = (1/w_n ± 1/w_m)/2, and
 
 The decoherence bracket is weighted by 1/w-_nm, so it vanishes whenever
 only one drive frequency is present: the evolution is then generated by
-H_eff alone.
+H_eff alone.  It vanishes identically on a single level too, where every
+superoperator is a scalar.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ class EffectiveGenerator:
                     a, b = hmd @ hn, hn @ hmd
                     # FourierOperator snaps a beat within FREQUENCY_MERGE_TOL to 0
                     eff_terms.append((half_sum * (a - b), wm - wn, 0))
-                    if half_diff != 0.0:
+                    # on one level every superoperator is a scalar and the bracket is
+                    # identically zero, where rounding would leave terms of ~1e-19
+                    if half_diff != 0.0 and d > 1:
                         block = (
                             (superop(a, one) + superop(one, a))
                             + (superop(b, one) + superop(one, b))
@@ -136,7 +139,7 @@ class EffectiveGenerator:
         """Matrix of the Lindblad-form decoherence bracket at time t.
 
         Trace-annihilating and Hermiticity-preserving; exactly the zero
-        matrix when all drive frequencies coincide.
+        matrix when all drive frequencies coincide or dim is 1.
         """
         return self._deco.evaluate(t)
 

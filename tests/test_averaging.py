@@ -11,7 +11,7 @@ from avgdyn.averaging import (
     inverse_series,
     validity_ratio,
 )
-from avgdyn.fourier import FourierOperator, lowpass_average
+from avgdyn.fourier import FourierOperator, commutator, lowpass_average
 from avgdyn.harmonic import HarmonicHamiltonian, default_filter
 from avgdyn.linalg import superop
 from util import adjoint, random_complex, random_density, random_harmonic, random_hermitian
@@ -82,6 +82,22 @@ class TestDysonTerms:
                 acc = acc + (uds[j] @ us[k - j])
             for t in (0.4, 1.8, 6.3):
                 assert series_norm_at(acc, t) < 1e-12
+
+    @pytest.mark.parametrize("n_drives", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_terms_match_public_recursion_bit_for_bit(self, d, n_drives):
+        # however a step is computed, its bytes are those of the recursion
+        # spelled out in public operations, for H and for its lift [H, .]
+        hf = random_harmonic(np.random.default_rng(10 * d + n_drives), d, n_drives).as_fourier()
+        for h in (hf, commutator(hf)):
+            prev = FourierOperator.identity(h.dim)
+            for u in dyson_terms(h, T0, 3):
+                g = (h @ prev).antiderivative()
+                prev = (g - FourierOperator.constant(g.evaluate(T0))) * (-1j)
+                for got, want in zip((u._coeffs, u._nus, u._ps),
+                                     (prev._coeffs, prev._nus, prev._ps)):
+                    assert (got.dtype, got.shape, got.tobytes()) == (
+                        want.dtype, want.shape, want.tobytes())
 
     def test_polynomial_hamiltonian_rejected(self):
         f = FourierOperator(2, [(np.eye(2), 0.0, 1)])

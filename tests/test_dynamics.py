@@ -390,11 +390,14 @@ def test_models_without_a_frame():
     assert _frame(two.liouvillian) is None and _frame(EffectiveGenerator(two).liouvillian) is None
     # a term that grows with t
     assert _frame(FourierOperator(4, [(np.eye(4), 0.0, 1)])) is None
-    # a driven 1x1 model: its exact Liouvillian is zero, but its averaged one keeps terms
-    # of ~3e-19 at nu != 0, so it is stepped per chunk
-    ham = random_harmonic(np.random.default_rng(1), 1, 2, strength=0.3)
-    assert np.array_equal(_frame(ham.liouvillian), [0.0])
-    assert _frame(EffectiveGenerator(ham).liouvillian) is None
+    # a driven 1x1 model, two drives: on one level every superoperator is a scalar and
+    # the decoherence bracket vanishes, so both Liouvillians are exactly zero (no terms
+    # of rounding size) and both have the frame f = 0
+    for seed in range(1, 6):
+        ham = random_harmonic(np.random.default_rng(seed), 1, 2, strength=0.3)
+        for model in (ham, EffectiveGenerator(ham)):
+            assert model.liouvillian.terms == ()
+            assert np.array_equal(_frame(model.liouvillian), [0.0])
 
 
 def test_frame_of_no_terms_is_zero():

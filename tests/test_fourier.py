@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from avgdyn.fourier import FourierOperator, commutator, fourier_sum, lowpass_average
+from avgdyn.fourier import FourierOperator, _merge, commutator, fourier_sum, lowpass_average
 from avgdyn.harmonic import EffectiveGenerator
 from avgdyn.linalg import hermitian_coordinates, superop
 from util import antiderivative_terms, merge_terms, random_complex, random_harmonic
@@ -130,8 +130,8 @@ def as_bytes(terms):
 @given(first=TERMS, second=TERMS, scalar=st.sampled_from([2.0, -0.3 + 1.7j, 1e-310j]),
        cutoff=st.sampled_from([1e-12, 1.0, 1.0 + 0.6e-12, 3.0, np.inf]))
 def test_merge_matches_per_term_reference(first, second, scalar, cutoff):
-    # every result is merged once, so a unary map's result is the merge of
-    # its terms mapped one at a time; 1e-310j underflows some products to zero
+    # a unary map's result, merged or not, is the merge of its terms mapped
+    # one at a time; 1e-310j underflows some products to zero
     f, g = FourierOperator(2, first), FourierOperator(2, second)
     assert as_bytes(f.terms) == as_bytes(merge_terms(first))
     assert as_bytes((f + g).terms) == as_bytes(merge_terms(f.terms + g.terms))
@@ -144,6 +144,23 @@ def test_merge_matches_per_term_reference(first, second, scalar, cutoff):
     one = np.eye(2, dtype=complex)
     assert as_bytes(commutator(f).terms) == as_bytes(
         merge_terms([(superop(c, one) - superop(one, c), nu, p) for c, nu, p in f.terms]))
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(first=TERMS, second=TERMS,
+       cutoff=st.sampled_from([1e-12, 1.0, 1.0 + 0.6e-12, 3.0, np.inf]))
+def test_every_result_merges_to_itself(first, second, cutoff):
+    # negation, scaling, low-pass masking and the commutator lift skip the
+    # merge, so they must keep its invariant: merged again, a result is
+    # unchanged bit for bit, and it holds no zero coefficient
+    f, g = FourierOperator(2, first), FourierOperator(2, second)
+    results = [-f, *(s * f for s in (2.0, -0.3 + 1.7j, 1e-310j, 0)), lowpass_average(f, cutoff),
+               f + g, f @ g, f.differentiate(), f.antiderivative(), commutator(f)]
+    for op in results:
+        arrays = (op._coeffs, op._nus, op._ps)
+        assert [(a.dtype, a.tobytes()) for a in _merge(*arrays)] == [
+            (a.dtype, a.tobytes()) for a in arrays]
+        assert op._coeffs.any(axis=(1, 2)).all()
 
 
 @settings(database=None, derandomize=True, max_examples=200, deadline=None)
