@@ -95,13 +95,15 @@ def forward_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeries
 
 def inverse_series(forward: SuperoperatorSeries) -> SuperoperatorSeries:
     """Series inverse of the forward maps: composed order by order they
-    give the identity at order 0 and zero at every higher order."""
+    give the identity at order 0 and zero at every higher order.  Order n
+    is -(F_n + sum_{0<j<n} inv_j o F_(n-j)), inv_0 = 1 written out."""
     ident = FourierOperator.identity(forward.maps[0].dim)
     if (forward.maps[0] - ident).max_abs() > 1e-12:
         raise ValueError("order-0 forward map must be the identity")
     maps = [ident]
     for n in range(1, len(forward.maps)):
-        maps.append(-fourier_sum(maps[j] @ forward.maps[n - j] for j in range(n)))
+        maps.append(-fourier_sum([forward.maps[n],
+                                  *(maps[j] @ forward.maps[n - j] for j in range(1, n))]))
     return SuperoperatorSeries(tuple(maps))
 
 
@@ -109,14 +111,16 @@ def generator_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeri
     """Generators L_k of i d(rho_avg)/dt = sum_k L_k[rho_avg].
 
     L_k = sum_j i * (d/dt forward_{k-j}) o inverse_j, with the time
-    derivative taken analytically on the Fourier terms.  L_0 = 0 and
-    L_1[rho] = [H_avg, rho].
+    derivative taken analytically on the Fourier terms and the order-0
+    factors written out: d/dt forward_0 = 0 and inverse_0 = 1.  So L_0 = 0
+    and L_1[rho] = [H_avg, rho].
     """
     fwd = forward_series(hamiltonian, cutoff, t0, order)
     inv = inverse_series(fwd)
     rates = [m.differentiate() for m in fwd.maps]
-    maps = tuple(1j * fourier_sum(rates[k - j] @ inv.maps[j] for j in range(k + 1))
-                 for k in range(order + 1))
+    maps = (rates[0], *(1j * fourier_sum([rates[k],
+                                          *(rates[k - j] @ inv.maps[j] for j in range(1, k))])
+                        for k in range(1, order + 1)))
     return SuperoperatorSeries(maps)
 
 

@@ -4,7 +4,8 @@ Subcommands: run a scenario and emit CSVs plus a JSON report, compare
 two trajectory CSVs, derive the generator matrices of a scenario for
 inspection, or just validate a config.  Exit codes: 0 success, 1
 invalid input (a config, an argument, or a path that cannot be read or
-written), 2 runtime/propagation error, a fork that fails included.
+written), 2 runtime/propagation error, a fork that fails included.  The
+argument parser is built once per process; parsing keeps no state on it.
 
 ``run`` and ``compare`` each fork one child through :func:`_in_child`.
 ``run`` forks it from ``run_scenario``'s ``write`` hook once the exact
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -47,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError([message])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="avgdyn",

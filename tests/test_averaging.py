@@ -14,7 +14,14 @@ from avgdyn.averaging import (
 from avgdyn.fourier import FourierOperator, commutator, lowpass_average
 from avgdyn.harmonic import HarmonicHamiltonian, default_filter
 from avgdyn.linalg import superop
-from util import adjoint, random_complex, random_density, random_harmonic, random_hermitian
+from util import (
+    adjoint,
+    random_complex,
+    random_density,
+    random_harmonic,
+    random_hermitian,
+    series_reference,
+)
 
 T0 = 0.3
 
@@ -195,6 +202,27 @@ class TestInverseSeries:
         bad = SuperoperatorSeries((FourierOperator.constant(2 * np.eye(4)),))
         with pytest.raises(ValueError, match="identity"):
             inverse_series(bad)
+
+
+@pytest.mark.parametrize("n_drives", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_series_match_recursion_with_order_zero_products(d, n_drives):
+    # the identity and the empty map are written out, not multiplied: every
+    # map equals the full recursion's in value (bytes may differ only in the
+    # sign of an exact zero), with the same frequencies and degrees
+    for seed in range(3):
+        ham = random_harmonic(np.random.default_rng([d, n_drives, seed]), d, n_drives,
+                              strength=0.3)
+        hf, cutoff = ham.as_fourier(), default_filter(ham)
+        inv_ref, gen_ref = series_reference(hf, cutoff, T0, 3)
+        inv = inverse_series(forward_series(hf, cutoff, T0, 3))
+        gen = generator_series(hf, cutoff, T0, 3)
+        for got, want in zip(inv.maps + gen.maps, inv_ref + gen_ref):
+            assert got.dim == want.dim
+            assert got._coeffs.dtype == want._coeffs.dtype
+            assert np.array_equal(got._coeffs, want._coeffs)
+            for a, b in ((got._nus, want._nus), (got._ps, want._ps)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def l2_direct(ham, cutoff, t0, rho, t):

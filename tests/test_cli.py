@@ -784,6 +784,33 @@ def test_argument_error_is_one_line_validation_error(capsys, argv, line):
     assert re.fullmatch(f"error: {line}\n", err)
 
 
+def test_parser_built_once_carries_nothing_between_calls(small_config, tmp_path, capsys,
+                                                        monkeypatch):
+    # main builds its parser once per process; every call, whatever came before
+    # it, exits and prints as it does through a freshly built parser
+    t = np.arange(2001) * 0.01
+    for name, phase in (("a.csv", 0.0), ("b.csv", 0.1)):
+        record = TrajectoryRecord(("t", "rho12_re"), np.column_stack([t, np.cos(t + phase)]))
+        emit_csv(record, tmp_path / name)
+    calls = [["derive", "--order", "x", str(small_config)],
+             ["validate", str(small_config)],
+             ["derive", "--order", "3", str(small_config)],
+             ["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--cutoff", "0.5"],
+             ["derive", "--order", "4", str(small_config)],
+             ["derive", "--order", "1", str(small_config)],
+             ["derive", str(small_config)]]
+
+    def outcomes():
+        return [(main(argv), *capsys.readouterr()) for argv in calls]
+
+    cached = outcomes()
+    assert avgdyn.cli._build_parser() is avgdyn.cli._build_parser()
+    fresh = avgdyn.cli._build_parser.__wrapped__
+    monkeypatch.setattr(avgdyn.cli, "_build_parser", lambda: fresh())
+    assert outcomes() == cached
+    assert [code for code, _, _ in cached] == [1, 0, 0, 0, 1, 0, 0]
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--help"])

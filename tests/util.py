@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from avgdyn.fourier import FREQUENCY_MERGE_TOL, FourierOperator
+from avgdyn.averaging import forward_series
+from avgdyn.fourier import FREQUENCY_MERGE_TOL, FourierOperator, fourier_sum
 from avgdyn.harmonic import HarmonicHamiltonian
 
 
@@ -86,3 +87,18 @@ def csv_reference(record) -> str:
     lines = [",".join(record.columns)]
     lines += [",".join(format(v, ".17g") for v in row) for row in record.data.tolist()]
     return "\n".join(lines) + "\n"
+
+
+def series_reference(hamiltonian, cutoff, t0, order):
+    """Reference for the inverse and generator series: their recursions with
+    every order-0 product kept, inverse_0 = identity and d/dt forward_0 the
+    empty map, so order n of the inverse is -sum_{j<n} inv_j o F_(n-j) and
+    L_k = i sum_{j<=k} (d/dt F_(k-j)) o inv_j.  Returns (inverse, generators)."""
+    fwd = forward_series(hamiltonian, cutoff, t0, order).maps
+    inv = [FourierOperator.identity(fwd[0].dim)]
+    for n in range(1, order + 1):
+        inv.append(-fourier_sum(inv[j] @ fwd[n - j] for j in range(n)))
+    rates = [m.differentiate() for m in fwd]
+    gen = [1j * fourier_sum(rates[k - j] @ inv[j] for j in range(k + 1))
+           for k in range(order + 1)]
+    return inv, gen
