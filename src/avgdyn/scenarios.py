@@ -3,7 +3,11 @@
 Configs are strict JSON (unknown keys rejected); trajectories are CSV
 with a fixed column order at 17 significant digits, time-ascending,
 UTF-8 with LF line endings, so repeated runs of the same config are
-byte-identical and the files diff cleanly.
+byte-identical and the files diff cleanly.  Each value is written as
+``"%.17g" % v`` writes it.  Zeros and the values with 1e-4 <= |v| < 1e16,
+which it writes in fixed notation, are formatted exactly in numpy
+(:mod:`avgdyn._csvtext`); the others (exponent notation, nan, +-inf) by
+``%`` itself.
 
 Matrix values in configs are nested lists whose entries are either real
 numbers or two-element [re, im] pairs.
@@ -21,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvtext import format_rows
 from .averaging import validity_ratio
 from .dynamics import (MIN_STEP_ULPS, RK4_STEP_LIMIT, TRACE_TOL, TimeGrid, Trajectory,
                        propagate_effective, propagate_exact)
@@ -364,17 +369,17 @@ def build_record(traj: Trajectory) -> TrajectoryRecord:
 def emit_csv(record: TrajectoryRecord, path) -> None:
     """Write a record as CSV, 17 significant digits, LF line endings.
 
-    The rows are formatted and written one block of at most
-    CSV_BLOCK_VALUES values at a time.
+    Every value is written as ``"%.17g" % v`` writes it: exactly, in numpy
+    passes, where that is fixed notation, and by ``%`` itself elsewhere
+    (see :mod:`avgdyn._csvtext`).  The rows are formatted and written one
+    block of at most CSV_BLOCK_VALUES values at a time.
     """
     n_columns = len(record.columns)
     rows = max(1, CSV_BLOCK_VALUES // n_columns)
-    row_format = ",".join(["%.17g"] * n_columns) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(record.columns) + "\n")
+    with open(path, "wb") as f:
+        f.write((",".join(record.columns) + "\n").encode("utf-8"))
         for start in range(0, len(record.data), rows):
-            block = record.data[start:start + rows]
-            f.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+            f.write(format_rows(record.data[start:start + rows]))
 
 
 def read_csv_columns(path) -> tuple[str, ...]:

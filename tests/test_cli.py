@@ -18,6 +18,7 @@ from avgdyn.averaging import generator_series
 from avgdyn.cli import _dumps, _format_matrix, _in_child, main
 from avgdyn.harmonic import EffectiveGenerator
 from avgdyn.scenarios import KINDS, TrajectoryRecord, emit_csv, load_scenario, run_scenario
+from util import csv_reference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -940,6 +941,23 @@ class TestTwoProcesses:
         assert_no_child_left()
         for name in ("exact.csv", "effective.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("config, n_columns", [
+        ({"kind": "raman", "Omega1": 0.1, "Omega2": 0.1, "omega1": 1.0, "omega2": 1.02,
+          "t_max": 20, "dt": 0.02}, 20),
+        ({"kind": "ac_stark", "b": 0.3, "t_max": 20, "dt": 0.01}, 7),
+    ], ids=["raman", "ac_stark"])
+    def test_run_csvs_match_the_per_value_reference(self, tmp_path, capsys, config, n_columns):
+        # exact.csv is written by the forked child, effective.csv in process
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        result = run_scenario(load_scenario(path))
+        assert len(result.exact.columns) == n_columns
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert_no_child_left()
+        for name, record in (("exact.csv", result.exact), ("effective.csv", result.effective)):
+            assert (out / name).read_bytes() == csv_reference(record).encode("utf-8")
 
     @pytest.mark.parametrize("blocked", [("exact.csv",), ("effective.csv",),
                                          ("exact.csv", "effective.csv")],

@@ -1,11 +1,16 @@
 import json
+import struct
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import avgdyn.scenarios
+from avgdyn._csvtext import _POW10, format_rows
 from avgdyn.averaging import generator_series
 from avgdyn.dynamics import TimeGrid, Trajectory, propagate_effective
 from avgdyn.harmonic import EffectiveGenerator
@@ -24,7 +29,7 @@ from avgdyn.scenarios import (
     run_scenario,
     scenario_from_dict,
 )
-from util import csv_reference, random_density, random_harmonic
+from util import csv_reference, percent_csv, random_density, random_harmonic
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -451,6 +456,32 @@ class TestCsv:
 
         assert peak(200_001) <= peak(20_001) + 256 * 1024
 
+    def test_emit_memory_within_the_per_value_writer(self, tmp_path):
+        # a record shaped like the 200 000-step ac_stark run's.  Its min_eig,
+        # rounding noise below 1e-4, takes the per-value path; it is noise on
+        # every 8th row and 0 elsewhere, so each pass takes that path without
+        # the tracing cost of 200 000 such values
+        t = np.arange(200_001) * 0.01
+        noise = np.where(np.arange(t.size) % 8 == 0, -1e-17 * np.cos(t), 0.0)
+        data = np.column_stack([t, 0.5 + 0.5 * np.sin(t), 0.5 - 0.5 * np.sin(t),
+                                0.5 * np.cos(t), -0.3 * np.sin(t), 1 - 1e-3 * np.sin(t) ** 2,
+                                noise])
+        record = TrajectoryRecord(("t", "rho11_re", "rho22_re", "rho12_re", "rho12_im",
+                                   "purity", "min_eig"), data)
+
+        def peak(write, record):
+            tracemalloc.start()
+            try:
+                write(record, tmp_path / "out.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the per-value writer's peak is one block's: three blocks show it
+        blocks = TrajectoryRecord(record.columns, data[:3 * (CSV_BLOCK_VALUES // 7) + 1])
+        reference = peak(lambda r, path: percent_csv(r, path, CSV_BLOCK_VALUES), blocks)
+        assert peak(emit_csv, record) <= reference + 256 * 1024
+
     @pytest.mark.parametrize("names", [
         ("t", "x"), ("y", "t"), ("t", "t"), ("y", "y", "x"), ("x",), ("t", "x", "y"),
     ], ids=["prefix", "reordered", "repeated_t", "repeated_unordered", "one", "all"])
@@ -526,6 +557,70 @@ class TestCsv:
         emit_csv(a.exact, pa)
         emit_csv(b.exact, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def assert_formats_as_percent(rows):
+    """format_rows of a list of rows against format(v, ".17g") of each value."""
+    text = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    assert format_rows(np.array(rows, dtype=np.float64).reshape(len(rows), -1)) == text.encode()
+
+
+# 10**k for k = -5 ... 17 and the ends of the range formatted in numpy
+POWERS = [10.0**k for k in range(-5, 18)] + [1e-4, 1e16]
+EDGES = ([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1.7976931348623157e308,
+          -1.7976931348623157e308]
+         + [v for p in POWERS for v in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf))])
+
+
+def value_rows(values):
+    """Rows of 1 ... 7 values, each drawn by the strategy values."""
+    return st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=8))
+
+
+class TestFormatRows:
+    """The number formatter behind emit_csv against format(v, ".17g")."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_rows(st.integers(0, 2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])))
+    def test_any_bit_pattern(self, rows):
+        # nan, +-inf and subnormals included
+        assert_formats_as_percent(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_rows(st.floats()))
+    def test_any_float(self, rows):
+        assert_formats_as_percent(rows)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edges(self, sign):
+        values = [sign * v for v in EDGES]
+        assert_formats_as_percent([[v] for v in values])
+        assert_formats_as_percent([values])
+
+    @pytest.mark.parametrize("value, text", [
+        (1e15 + 0.25, "1000000000000000.2"), (1e15 + 0.75, "1000000000000000.8"),
+        (1e14 + 0.125, "100000000000000.12"), (1e14 + 0.375, "100000000000000.38"),
+    ])
+    def test_halfway_cases_round_half_even(self, value, text):
+        assert format(value, ".17g") == text
+        assert format_rows(np.array([[value, -value]])) == f"{text},-{text}\n".encode()
+
+    def test_no_double_in_range_rounds_up_to_a_power_of_ten(self):
+        # the premise of the formatter: the largest double below each power
+        # of ten in [1e-4, 1e16] is further below it than half a unit of the
+        # 17th digit, so its 17 digits never round up to 10**17
+        for k in range(-4, 17):
+            power = Fraction(10) ** k
+            below = float(power)
+            if Fraction(below) >= power:
+                below = float(np.nextafter(below, 0.0))
+            assert (power - Fraction(below)) / power > Fraction(5, 10**17)
+
+    def test_powers_of_ten_are_exact(self):
+        # 10**(16 - e) for e = -4 ... 16, the scales of the exact products
+        assert [Fraction(p) for p in _POW10] == [Fraction(10) ** m for m in range(21)]
 
 
 @pytest.mark.parametrize("config", [AC_MINIMAL, "raman.json"], ids=["ac_stark", "raman"])

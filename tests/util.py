@@ -89,6 +89,20 @@ def csv_reference(record) -> str:
     return "\n".join(lines) + "\n"
 
 
+def percent_csv(record, path, block_values):
+    """The CSV writer that formats a block of rows with one ``%`` of a
+    ``"%.17g,...\\n"`` template per block, ``block_values`` values at a time:
+    a reference for the memory emit_csv may take."""
+    n_columns = len(record.columns)
+    rows = max(1, block_values // n_columns)
+    row_format = ",".join(["%.17g"] * n_columns) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(record.columns) + "\n")
+        for start in range(0, len(record.data), rows):
+            block = record.data[start:start + rows]
+            f.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
 def series_reference(hamiltonian, cutoff, t0, order):
     """Reference for the inverse and generator series: their recursions with
     every order-0 product kept, inverse_0 = identity and d/dt forward_0 the
