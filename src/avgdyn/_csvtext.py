@@ -17,11 +17,13 @@ least 8.3e-17 P below it, more than the 5e-17 P at which |v| * 10**(16 - e)
 rounds across 10**16 or 10**17: so D is in range exactly when e is right,
 and no rounding carries D to 10**17.
 
-The layout.  The integer part is floor|v|; the fraction's digits are D's
-last 16 - e, or -e - 1 zeros and all of D when e < 0.  Each value is laid
-out in 4-byte lanes (sign, integer part, point, fraction, separator) from a
-table of every group of 4 digits, with NUL wherever a character is dropped,
-and one mask drops the NULs.
+The layout.  The integer part is floor|v|: the largest double below an
+integer N > 10**e lies at least N * 2**-53 below it, more than the
+5e-17 * 10**e at which rounding D would carry into the integer part.  The
+fraction's digits are D's last 16 - e, or -e - 1 zeros and all of D when
+e < 0.  Each value is laid out in 4-byte lanes (sign, integer part, point,
+fraction, separator) from a table of every group of 4 digits, with NUL
+wherever a character is dropped, and one mask drops the NULs.
 """
 
 from __future__ import annotations
