@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import functools
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
-# Values per numpy pass: its temporaries stay in cache, and the peak memory
-# of emit_csv below that of formatting a block with one % per value.
+# Values per numpy pass, the CSV writer's only chunk: its temporaries stay in
+# cache, and writing a record of any length holds one pass's text at a time.
 PASS_VALUES = 4 * 1024
 
 
@@ -106,13 +107,14 @@ def _groups(v: np.ndarray, count: int) -> list[np.ndarray]:
     return [v, *groups[::-1]]
 
 
-def format_rows(rows: np.ndarray) -> bytes:
+def format_rows(rows: np.ndarray) -> Iterator[bytes]:
     """CSV text of a 2-D float64 array: each value as ``"%.17g" % v``
     writes it, ``,`` between the values of a row and ``\\n`` after each.
-    Formatted in passes of whole rows, about PASS_VALUES values each."""
+    Yields the text of one pass of whole rows, about PASS_VALUES values,
+    at a time."""
     rows = np.asarray(rows, dtype=np.float64)
     step = max(1, PASS_VALUES // rows.shape[1])
-    return b"".join(_format_pass(rows[i:i + step]) for i in range(0, len(rows), step))
+    return (_format_pass(rows[i:i + step]) for i in range(0, len(rows), step))
 
 
 def _format_pass(rows: np.ndarray) -> bytes:

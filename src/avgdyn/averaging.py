@@ -125,9 +125,12 @@ def generator_series(hamiltonian, cutoff: float, t0, order) -> SuperoperatorSeri
 
 
 def validity_ratio(hamiltonian: HarmonicHamiltonian) -> float:
-    """Largest instantaneous spectral radius of the traceless part
-    H(t) - tr H(t)/d * 1 over the smallest drive frequency: a global energy
-    offset moves no trajectory, so it does not move the ratio either.  Much
+    """Largest spectral radius of the traceless part H(t) - tr H(t)/d * 1
+    at VALIDITY_SAMPLES times over one period of the slowest drive, over
+    the smallest drive frequency: a global energy offset moves no
+    trajectory, so it does not move the ratio either.  Where the spectrum
+    depends on the drives' relative phases, the samples miss the beats
+    between drives and the ratio can read below the largest radius.  Much
     less than 1 means truncating the generator series at second order is
     safe; 0 by convention when there is no drive.
     """

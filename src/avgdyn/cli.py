@@ -168,7 +168,7 @@ def _cmd_run(args) -> int:
     with contextlib.ExitStack() as children:
         def write(label, record):
             # exact.csv is formatted in a child while the averaged model runs;
-            # effective.csv is written below, after the warnings, as before
+            # effective.csv is written below, after the warnings
             if label == "exact":
                 children.enter_context(_in_child(emit_csv, record, args.out / "exact.csv"))
 

@@ -4,10 +4,7 @@ Configs are strict JSON (unknown keys rejected); trajectories are CSV
 with a fixed column order at 17 significant digits, time-ascending,
 UTF-8 with LF line endings, so repeated runs of the same config are
 byte-identical and the files diff cleanly.  Each value is written as
-``"%.17g" % v`` writes it.  Zeros and the values with 1e-4 <= |v| < 1e16,
-which it writes in fixed notation, are formatted exactly in numpy
-(:mod:`avgdyn._csvtext`); the others (exponent notation, nan, +-inf) by
-``%`` itself.
+``"%.17g" % v`` writes it (:mod:`avgdyn._csvtext`).
 
 Matrix values in configs are nested lists whose entries are either real
 numbers or two-element [re, im] pairs.
@@ -56,9 +53,6 @@ _KIND_KEYS = {
     "custom_harmonic": _COMMON_KEYS | {"h0", "terms"},
 }
 KINDS = tuple(_KIND_KEYS)
-# Values per block of CSV rows formatted and written at once: bounds the
-# memory of writing a record independently of its length.
-CSV_BLOCK_VALUES = 16 * 1024
 # Largest estimate of the arrays a run holds, in bytes (2 GiB).  A run keeps one
 # trajectory's real coordinates, the complex states its d != 2 minimum eigenvalue
 # builds from them (8 + 16 bytes per entry, within 2 * 16) and the two records,
@@ -271,6 +265,10 @@ def _check_config(data, problems) -> ScenarioConfig | None:
         if not grid.dt * norms[name] <= RK4_STEP_LIMIT:
             problems.append(f"grid: dt * ||L|| = {grid.dt * norms[name]:.3g} for the {name} "
                             f"equation exceeds the RK4 stability limit {RK4_STEP_LIMIT:.3g}")
+        fastest = max((w for _, w in hamiltonian.terms), default=0.0)
+        if not grid.dt * fastest < math.pi:
+            problems.append(f"grid: dt * max omega = {grid.dt * fastest:.3g} is not below pi, "
+                            "so the steps cannot resolve the fastest drive")
         need = (grid.n_steps + 1) * _bytes_per_sample(hamiltonian.dim)
         if need > MEMORY_BUDGET_BYTES:
             problems.append(f"grid: {grid.n_steps + 1} samples need {need} bytes of arrays, "
@@ -367,19 +365,12 @@ def build_record(traj: Trajectory) -> TrajectoryRecord:
 
 
 def emit_csv(record: TrajectoryRecord, path) -> None:
-    """Write a record as CSV, 17 significant digits, LF line endings.
-
-    Every value is written as ``"%.17g" % v`` writes it: exactly, in numpy
-    passes, where that is fixed notation, and by ``%`` itself elsewhere
-    (see :mod:`avgdyn._csvtext`).  The rows are formatted and written one
-    block of at most CSV_BLOCK_VALUES values at a time.
-    """
-    n_columns = len(record.columns)
-    rows = max(1, CSV_BLOCK_VALUES // n_columns)
+    """Write a record as CSV, 17 significant digits, LF line endings: every
+    value as ``"%.17g" % v`` writes it, the rows formatted and written one
+    pass of :func:`avgdyn._csvtext.format_rows` at a time."""
     with open(path, "wb") as f:
         f.write((",".join(record.columns) + "\n").encode("utf-8"))
-        for start in range(0, len(record.data), rows):
-            f.write(format_rows(record.data[start:start + rows]))
+        f.writelines(format_rows(record.data))
 
 
 def read_csv_columns(path) -> tuple[str, ...]:

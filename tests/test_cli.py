@@ -327,6 +327,26 @@ class TestRun:
                     "exceeds the RK4 stability limit 2.55\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("omega, product", [(1e8, "1e+06"), (1e100, "1e+98")],
+                             ids=["1e8", "1e100"])
+    def test_unresolved_drive_is_validation_error(self, tmp_path, capsys, omega, product):
+        # a weak drive, so dt * ||L|| is small, but far faster than the grid
+        # samples: run would diverge at the first step, or, from omega ~ 1e155
+        # on, print numpy warnings first
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(
+            {"kind": "custom_harmonic", "h0": [[0, 0], [0, 0]],
+             "terms": [{"h": [[0, 0], [0.1, 0]], "omega": omega}],
+             "initial": [[1, 0], [0, 0]], "t_max": 20, "dt": 0.01}
+        ), encoding="utf-8")
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == (
+                "", f"error: grid: dt * max omega = {product} is not below pi, "
+                    "so the steps cannot resolve the fastest drive\n")
+        assert not out.exists()
+
     def test_report_is_strict_json(self, tmp_path, capsys):
         # a cutoff that passes the DC bin alone leaves amplitude_b = 0: the
         # amplitude ratio is null, not Infinity

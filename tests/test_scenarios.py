@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avgdyn.scenarios
-from avgdyn._csvtext import _POW10, format_rows
+from avgdyn._csvtext import _POW10, PASS_VALUES, format_rows
 from avgdyn.averaging import generator_series
 from avgdyn.dynamics import TimeGrid, Trajectory, propagate_effective
 from avgdyn.harmonic import EffectiveGenerator
 from avgdyn.linalg import BLOCH_LABELS, bloch_decompose, hermitian_coordinates
 from avgdyn.scenarios import (
-    CSV_BLOCK_VALUES,
     MEMORY_BUDGET_BYTES,
     ScenarioError,
     TrajectoryRecord,
@@ -127,13 +126,27 @@ class TestLoadScenario:
         # a strong, fast drive: the exact Liouvillian's norm bound is
         # 2 * 10 * sqrt(2) = 28.3, the averaged one's 0.2
         config = {"kind": "custom_harmonic", "h0": [[0, 0], [0, 0]],
-                  "terms": [{"h": [[0, 0], [10, 0]], "omega": 1000}],
+                  "terms": [{"h": [[0, 0], [10, 0]], "omega": 30}],
                   "initial": [[1, 0], [0, 0]], "t_max": 10}
         scenario_from_dict(dict(config, dt=0.08))
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(dict(config, dt=0.1))
         assert err.value.problems == ["grid: dt * ||L|| = 2.83 for the exact equation "
                                       "exceeds the RK4 stability limit 2.55"]
+
+    def test_grid_must_resolve_the_fastest_drive(self):
+        # dt * omega just below pi is accepted, pi rejected; 0.5 * 2 pi is exact
+        config = {"kind": "custom_harmonic", "h0": [[0, 0], [0, 0]],
+                  "initial": [[1, 0], [0, 0]], "t_max": 40, "dt": 0.5}
+
+        def drive(omega):
+            return dict(config, terms=[{"h": [[0, 0], [0.1, 0]], "omega": omega}])
+
+        scenario_from_dict(drive(float(np.nextafter(2 * np.pi, 0.0))))
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(drive(2 * np.pi))
+        assert err.value.problems == ["grid: dt * max omega = 3.14 is not below pi, "
+                                      "so the steps cannot resolve the fastest drive"]
 
     def test_memory_budget_boundary_at_d3(self):
         # raman, d = 3, all outputs: 20 CSV columns; per sample the complex
@@ -402,6 +415,30 @@ class TestRunScenario:
         assert len(built) == reads
 
 
+def long_ac_stark_record():
+    """A record shaped like the 200 000-step ac_stark run's.  Its min_eig,
+    rounding noise below 1e-4, takes the per-value path; it is noise on
+    every 8th row and 0 elsewhere, so each pass takes that path without the
+    tracing cost of 200 000 such values."""
+    t = np.arange(200_001) * 0.01
+    noise = np.where(np.arange(t.size) % 8 == 0, -1e-17 * np.cos(t), 0.0)
+    data = np.column_stack([t, 0.5 + 0.5 * np.sin(t), 0.5 - 0.5 * np.sin(t),
+                            0.5 * np.cos(t), -0.3 * np.sin(t), 1 - 1e-3 * np.sin(t) ** 2,
+                            noise])
+    return TrajectoryRecord(("t", "rho11_re", "rho22_re", "rho12_re", "rho12_im",
+                             "purity", "min_eig"), data)
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -426,8 +463,8 @@ class TestCsv:
 
     @pytest.mark.parametrize("rows", ["0", "1", "B-1", "B", "B+1"])
     def test_block_boundaries_match_per_row_reference(self, tmp_path, rows):
-        # three columns: emit_csv writes blocks of B = CSV_BLOCK_VALUES // 3 rows
-        block = CSV_BLOCK_VALUES // 3
+        # three columns: emit_csv writes passes of B = PASS_VALUES // 3 rows
+        block = PASS_VALUES // 3
         n = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1}[rows]
         rng = np.random.default_rng(n)
         data = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
@@ -447,40 +484,24 @@ class TestCsv:
         def peak(n):
             t = np.arange(n) * 0.01
             record = TrajectoryRecord(("t", "x"), np.column_stack([t, np.sin(t)]))
-            tracemalloc.start()
-            try:
-                emit_csv(record, tmp_path / "out.csv")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: emit_csv(record, tmp_path / "out.csv"))
 
         assert peak(200_001) <= peak(20_001) + 256 * 1024
 
     def test_emit_memory_within_the_per_value_writer(self, tmp_path):
-        # a record shaped like the 200 000-step ac_stark run's.  Its min_eig,
-        # rounding noise below 1e-4, takes the per-value path; it is noise on
-        # every 8th row and 0 elsewhere, so each pass takes that path without
-        # the tracing cost of 200 000 such values
-        t = np.arange(200_001) * 0.01
-        noise = np.where(np.arange(t.size) % 8 == 0, -1e-17 * np.cos(t), 0.0)
-        data = np.column_stack([t, 0.5 + 0.5 * np.sin(t), 0.5 - 0.5 * np.sin(t),
-                                0.5 * np.cos(t), -0.3 * np.sin(t), 1 - 1e-3 * np.sin(t) ** 2,
-                                noise])
-        record = TrajectoryRecord(("t", "rho11_re", "rho22_re", "rho12_re", "rho12_im",
-                                   "purity", "min_eig"), data)
-
-        def peak(write, record):
-            tracemalloc.start()
-            try:
-                write(record, tmp_path / "out.csv")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        record = long_ac_stark_record()
         # the per-value writer's peak is one block's: three blocks show it
-        blocks = TrajectoryRecord(record.columns, data[:3 * (CSV_BLOCK_VALUES // 7) + 1])
-        reference = peak(lambda r, path: percent_csv(r, path, CSV_BLOCK_VALUES), blocks)
-        assert peak(emit_csv, record) <= reference + 256 * 1024
+        block = 16 * 1024
+        blocks = TrajectoryRecord(record.columns, record.data[:3 * (block // 7) + 1])
+        reference = traced_peak(lambda: percent_csv(blocks, tmp_path / "out.csv", block))
+        assert traced_peak(lambda: emit_csv(record, tmp_path / "out.csv")) <= reference + 256 * 1024
+
+    def test_emit_holds_one_pass_at_a_time(self, tmp_path):
+        record = long_ac_stark_record()
+        one_pass = record.data[:PASS_VALUES // 7]
+        list(format_rows(one_pass))  # the digit table is built once per process
+        reference = traced_peak(lambda: list(format_rows(one_pass)))
+        assert traced_peak(lambda: emit_csv(record, tmp_path / "out.csv")) <= reference + 64 * 1024
 
     @pytest.mark.parametrize("names", [
         ("t", "x"), ("y", "t"), ("t", "t"), ("y", "y", "x"), ("x",), ("t", "x", "y"),
@@ -531,15 +552,8 @@ class TestCsv:
         path = tmp_path / "exact.csv"
         emit_csv(record, path)
 
-        def peak(names):
-            tracemalloc.start()
-            try:
-                read_csv(path, names)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(("t", "rho12_re")) <= 0.5 * peak(None)
+        assert (traced_peak(lambda: read_csv(path, ("t", "rho12_re")))
+                <= 0.5 * traced_peak(lambda: read_csv(path)))
 
     def test_lf_line_endings_and_header(self, tmp_path):
         record = TrajectoryRecord(("t", "x"), np.array([[0.0, 1.0]]))
@@ -562,7 +576,8 @@ class TestCsv:
 def assert_formats_as_percent(rows):
     """format_rows of a list of rows against format(v, ".17g") of each value."""
     text = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
-    assert format_rows(np.array(rows, dtype=np.float64).reshape(len(rows), -1)) == text.encode()
+    rows = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    assert b"".join(format_rows(rows)) == text.encode()
 
 
 # 10**k for k = -5 ... 17 and the ends of the range formatted in numpy
@@ -605,7 +620,7 @@ class TestFormatRows:
     ])
     def test_halfway_cases_round_half_even(self, value, text):
         assert format(value, ".17g") == text
-        assert format_rows(np.array([[value, -value]])) == f"{text},-{text}\n".encode()
+        assert b"".join(format_rows(np.array([[value, -value]]))) == f"{text},-{text}\n".encode()
 
     def test_no_double_in_range_rounds_up_to_a_power_of_ten(self):
         # the premise of the formatter: the largest double below each power
