@@ -34,8 +34,8 @@ MIN_STEP_ULPS = 2 ** 20
 # Largest |tr(rho) - 1| a run accepts without a warning: every generator here
 # annihilates the trace, so a propagated trace moves only by rounding.
 TRACE_TOL = 1e-12
-# Bytes per chunk stack of generator matrices: bounds a propagation's memory
-# independently of its length.
+# Bytes per chunk stack of generator matrices, and of coordinates per pass over a
+# trajectory: bounds a propagation's memory independently of its length.
 CHUNK_BYTES = 128 * 1024
 # Largest dt * ||L(t)|| a grid may have.  Classical RK4 is stable for
 # eigenvalues of dt * L(t) on the imaginary axis up to |dt * lambda| = 2*sqrt(2),
@@ -85,8 +85,8 @@ class Trajectory:
     """Density matrices sampled on a uniform grid, held as the real coordinates x they
     were propagated in.
 
-    Trace drift, purity, and the minimum eigenvalue of a 2-level state are read off
-    x; complex states are built only for the minimum eigenvalue at d != 2."""
+    Trace drift, purity, and the minimum eigenvalue at d <= 3 are read off x; complex
+    states are built only for the minimum eigenvalue at d >= 4, by ``eigvalsh``."""
 
     times: np.ndarray
     coords: np.ndarray  # shape (n_samples, d**2)
@@ -98,7 +98,7 @@ class Trajectory:
     @property
     def states(self) -> np.ndarray:
         """The (n_samples, d, d) states, assigned from x and so exact and exactly Hermitian;
-        uncached, held with x only while the d != 2 minimum eigenvalue reads them."""
+        uncached, held with x only while the d >= 4 minimum eigenvalue reads them."""
         d, x = self.dim, self.coords
         i, j = np.triu_indices(d, 1)  # the pairs' order in x
         rho = np.zeros((len(x), d, d), dtype=complex)
@@ -121,11 +121,57 @@ class Trajectory:
 
     @cached_property
     def min_eigenvalues(self) -> np.ndarray:
-        if self.dim != 2:
+        x = self.coords
+        if self.dim == 1:
+            return x[:, 0].copy()
+        if self.dim == 2:  # (a + b)/2 - |((a - b)/2, Re c, Im c)| of [[a, c], [c*, b]]
+            a, b, re, im = x.T
+            return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.hypot(re, im))
+        if self.dim > 3:
             return np.linalg.eigvalsh(self.states)[:, 0].copy()  # not a view pinning all d columns
-        # (a + b)/2 - |((a - b)/2, Re c, Im c)| of [[a, c], [c*, b]]
-        a, b, re, im = self.coords.T
-        return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.hypot(re, im))
+        out = np.empty(len(x))  # CHUNK_BYTES of x a pass: its temporaries stay under 1 MB
+        for start in range(0, len(x), rows := CHUNK_BYTES // x[0].nbytes):
+            out[start:start + rows] = _lowest_root(*x[start:start + rows].T.copy())
+        return out
+
+
+def _lowest_root(a, b, c, ur, ui, vr, vi, wr, wi) -> np.ndarray:
+    """The smallest eigenvalue of each [[a, u, v], [u*, b, w], [v*, w*, c]] of 1-D columns.
+
+    B = (rho - q)/p, q = tr(rho)/3 and p^2 = tr((rho - q)^2)/6, has the trigonometric roots
+    2 cos(phi + 2 pi k/3), cos(3 phi) = det(B)/2 (Smith, Commun. ACM 4, 168 (1961)).  Where
+    det B <= 0 the low one, k = 1, is well conditioned and taken.  Where det B > 0 it can be
+    double, as for a pure state, and acos's infinite slope at 1 leaves it off by up to ~1e-8;
+    but the top root t (k = 0) is then apart from the others by at least sqrt(3), and B is
+    deflated by its eigenvector e: each column of adj(B - t) is a cross product of two of its
+    rows, and adj(B - t) = (l2 - t)(l3 - t) e e^+.  The other roots l2, l3 are so -t/2 +- h,
+    h = |K|_F / sqrt(2), K = B + t/2 - (3t/2) adj(B - t)/tr(adj(B - t)) their traceless
+    block on the complement of e (Kopp, Int. J. Mod. Phys. C 19, 523 (2008))."""
+    q = (a + b + c) / 3.0
+    ab, bc, ca = a - b, b - c, c - a  # B's diagonal from differences: traceless to rounding
+    a, b, c = (ab - ca) / 3.0, (bc - ab) / 3.0, (ca - bc) / 3.0
+    p = np.sqrt((a * a + b * b + c * c
+                 + 2.0 * (ur * ur + ui * ui + vr * vr + vi * vi + wr * wr + wi * wi)) / 6.0)
+    s = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)  # rho = q: every root is q
+    a, b, c, ur, ui, vr, vi, wr, wi = (s * y for y in (a, b, c, ur, ui, vr, vi, wr, wi))
+    uu, vv, ww = ur * ur + ui * ui, vr * vr + vi * vi, wr * wr + wi * wi
+    uwr, uwi = ur * wr - ui * wi, ur * wi + ui * wr  # u w
+    det = a * b * c - a * ww - b * vv - c * uu + 2.0 * (uwr * vr + uwi * vi)
+    phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+    top = 2.0 * np.cos(phi)
+    a1, b1, c1 = a - top, b - top, c - top  # adj(B - t), upper triangle:
+    d00, d11, d22 = b1 * c1 - ww, a1 * c1 - vv, a1 * b1 - uu
+    d01r, d01i = vr * wr + vi * wi - c1 * ur, vi * wr - vr * wi - c1 * ui  # v w* - c1 u
+    d02r, d02i = uwr - b1 * vr, uwi - b1 * vi  # u w - b1 v
+    d12r, d12i = ur * vr + ui * vi - a1 * wr, ur * vi - ui * vr - a1 * wi  # u* v - a1 w
+    # where det B < 0 the top root can be double and adj(B - t) zero: those take the trig root
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 1.5 * top / (d00 + d11 + d22)
+        k00, k11, k22 = a + 0.5 * top - g * d00, b + 0.5 * top - g * d11, c + 0.5 * top - g * d22
+        off = (ur - g * d01r, ui - g * d01i, vr - g * d02r, vi - g * d02i,
+               wr - g * d12r, wi - g * d12i)
+        h = np.sqrt(0.5 * (k00 * k00 + k11 * k11 + k22 * k22) + sum(k * k for k in off))
+    return q + p * np.where(det > 0.0, -0.5 * top - h, 2.0 * np.cos(phi + 2.0 * np.pi / 3.0))
 
 
 def _steps_per_chunk(size, dtype) -> int:

@@ -53,12 +53,8 @@ _KIND_KEYS = {
     "custom_harmonic": _COMMON_KEYS | {"h0", "terms"},
 }
 KINDS = tuple(_KIND_KEYS)
-# Largest estimate of the arrays a run holds, in bytes (2 GiB).  A run keeps one
-# trajectory's real coordinates, the complex states its d != 2 minimum eigenvalue
-# builds from them (8 + 16 bytes per entry, within 2 * 16) and the two records,
-# so a grid of n_samples needs at most n_samples * (2 * 16 * d**2 + 2 * 8 * c)
-# bytes for c CSV columns; larger grids are rejected at validation.  A 2-level
-# run builds no complex states, so for it the estimate stays an upper bound.
+# Largest estimate of the arrays a run holds, in bytes (2 GiB): n_samples times
+# _bytes_per_sample(d).  Larger grids are rejected at validation.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 
@@ -349,9 +345,11 @@ def _record_columns(d) -> tuple[str, ...]:
 
 
 def _bytes_per_sample(d) -> int:
-    """Bytes a run holds per grid sample, at most: twice one trajectory's complex states (its
-    real coordinates and the states its d != 2 minimum eigenvalue builds) and two records' rows."""
-    return 2 * 16 * d * d + 2 * 8 * len(_record_columns(d))
+    """Bytes a run holds per grid sample, at most: one trajectory (its times, its d**2 real
+    coordinates and three diagnostics), the complex states its minimum eigenvalue builds at
+    d >= 4 only, and three records' rows: the two a run returns, and the columns
+    :func:`build_record` computes before it stacks the second (the Bloch columns, at d = 3)."""
+    return 8 * (d * d + 4) + 16 * d * d * (d >= 4) + 3 * 8 * len(_record_columns(d))
 
 
 def build_record(traj: Trajectory) -> TrajectoryRecord:

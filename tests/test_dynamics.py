@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from avgdyn.dynamics import (
+    CHUNK_BYTES,
     TRACE_TOL,
     TimeGrid,
     Trajectory,
@@ -510,9 +513,80 @@ def test_diagnostics_match_their_matrix_definitions(d, kind):
     assert np.abs(traj.min_eigenvalues - np.linalg.eigvalsh(states)[:, 0]).max() <= 1e-15
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def with_spectra(rng, spectra):
+    """Trajectory of the 3-level states U diag(spectrum) U^+, U a Haar-random unitary per row,
+    and the lowest eigenvalue eigvalsh finds for each."""
+    z = rng.standard_normal((len(spectra), 3, 3)) + 1j * rng.standard_normal((len(spectra), 3, 3))
+    u = np.linalg.qr(z)[0]
+    states = np.einsum("tij,tj,tkj->tik", u, spectra, u.conj())
+    _, from_vec = hermitian_coordinates(3)
+    coords = (states.transpose(0, 2, 1).reshape(len(states), 9) @ from_vec.T).real
+    traj = Trajectory(np.arange(len(states), dtype=float), coords)
+    return traj, np.linalg.eigvalsh(traj.states)[:, 0]
+
+
+def spectrum_family(rng, kind, n):
+    """n trace-1 spectra of one kind."""
+    s, t = rng.random(n), rng.random(n)
+    spectra = {
+        "pure": np.column_stack([np.ones(n), np.zeros(n), np.zeros(n)]),
+        "near-pure": np.column_stack([1.0 - 1e-9 * (s + t), 1e-9 * s, 1e-9 * t]),
+        "rank 2": np.column_stack([1.0 - 0.5 * s, 0.5 * s, np.zeros(n)]),
+        "double low root": np.column_stack([1.0 - 2.0 * s / 3.0, s / 3.0, s / 3.0]),
+        "double high root": np.column_stack([0.5 - s / 6.0, 0.5 - s / 6.0, s / 3.0]),
+        "mixed": np.sort(np.column_stack([s, t, rng.random(n)]), axis=1)[:, ::-1],
+        "near-maximally mixed": 1.0 / 3.0 + 1e-9 * np.column_stack([s, t - s, -t]),
+        "maximally mixed": np.full((n, 3), 1.0 / 3.0),  # rotated: rounding off the diagonal
+        "negative dip": np.column_stack([1.0 - s + 0.01 * t, s, -0.01 * t]),
+    }[kind]
+    return spectra / spectra.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["pure", "near-pure", "rank 2", "double low root",
+                                  "double high root", "mixed", "near-maximally mixed",
+                                  "maximally mixed", "negative dip"])
+def test_closed_form_min_eigenvalue_matches_eigvalsh(kind):
+    # the trigonometric low root alone is off by up to ~1e-8 where it is double (pure,
+    # near-pure, double low root); the deflated one is within rounding of eigvalsh's.  At
+    # the maximally mixed state p is rounding, and B = (rho - q)/p is traceless only if its
+    # diagonal is taken from differences of rho's (rho_ii - q left it off by up to 1.1e-14)
+    rng = np.random.default_rng(23)
+    traj, want = with_spectra(rng, spectrum_family(rng, kind, 2000))
+    assert np.abs(traj.min_eigenvalues - want).max() <= 1e-15
+
+
+def test_closed_form_min_eigenvalue_fills_every_pass():
+    # two whole passes of CHUNK_BYTES of coordinates and part of a third: every row's
+    # value is its own, at both seams and in the short last pass
+    rows = CHUNK_BYTES // (9 * 8)
+    rng = np.random.default_rng(29)
+    traj, want = with_spectra(rng, spectrum_family(rng, "mixed", 2 * rows + 7))
+    assert np.abs(traj.min_eigenvalues - want).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-0.01, 0.505), st.integers(0, 2**32 - 1), st.booleans())
+@example(1.0 / 3.0, 0, False)  # the identity/3, exactly
+@example(1.0 / 3.0, 0, True)
+@example(0.0, 0, False)  # a pure diagonal state
+@example(0.5, 0, False)
+def test_closed_form_min_eigenvalue_on_exact_ties(x, seed, rotate):
+    # the spectrum (x, x, 1 - 2x): a double low root below 1/3, a double high root above,
+    # a triple one at 1/3; exact in the coordinates of a diagonal state
+    spectrum = np.array([[x, x, 1.0 - 2.0 * x]])
+    if rotate:
+        traj, want = with_spectra(np.random.default_rng(seed), spectrum)
+    else:
+        coords = np.zeros((1, 9))
+        coords[0, np.random.default_rng(seed).permutation(3)] = spectrum[0]
+        traj, want = Trajectory(np.zeros(1), coords), spectrum.min(axis=1)
+    assert np.abs(traj.min_eigenvalues - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_diagnostics_and_record_build_complex_states_only_for_eigenvalues(monkeypatch, d):
-    # the d = 3 Bloch columns are read off the coordinates: only eigvalsh needs states
+    # the d = 3 Bloch columns and every diagnostic at d <= 3 are read off the coordinates:
+    # only eigvalsh, at d >= 4, needs states
     if d == 2:
         traj = propagate_exact(ac_stark(), PLUS, TimeGrid(0.0, 5.0, 0.01))
     else:
@@ -527,5 +601,5 @@ def test_diagnostics_and_record_build_complex_states_only_for_eigenvalues(monkey
 
     monkeypatch.setattr(Trajectory, "states", property(counted))
     assert traj.trace_drift.shape == traj.purity.shape == traj.min_eigenvalues.shape == (501,)
-    assert build_record(traj).data.shape == (501, {2: 7, 3: 20}[d])
-    assert len(built) == (d == 3)
+    assert build_record(traj).data.shape == (501, {2: 7, 3: 20, 4: 19}[d])
+    assert len(built) == (d == 4)

@@ -36,6 +36,18 @@ AC_MINIMAL = {"kind": "ac_stark", "b": 0.3, "t_max": 200, "dt": 0.01}
 # configs/raman.json's drives: the closed form models cutoffs in (0.02, 1]
 RAMAN = {"kind": "raman", "Omega1": 0.1, "Omega2": 0.1, "omega1": 1.0, "omega2": 1.02,
          "t_max": 20, "dt": 0.02}
+# 20 001 samples each: a 1-level model, and a 4-level one, whose minimum eigenvalue is eigvalsh's
+ONE_LEVEL = {"kind": "custom_harmonic", "h0": [[0.1]], "terms": [{"h": [[0.05]], "omega": 1.0}],
+             "initial": [[1]], "t_max": 200, "dt": 0.01}
+FOUR_LEVELS = {"kind": "custom_harmonic",
+               "h0": [[0.1, 0.02, 0, 0], [0.02, -0.05, 0.03, 0], [0, 0.03, 0.07, -0.01],
+                      [0, 0, -0.01, -0.12]],
+               "terms": [{"h": [[0, 0, 0, 0], [0.05, 0, 0, 0], [0, 0.04, 0, 0], [0.01, 0, 0.03, 0]],
+                          "omega": 1.0},
+                         {"h": [[0, 0.02, 0, 0], [0, 0, 0, 0], [0.03, 0, 0, 0], [0, 0, 0.04, 0]],
+                          "omega": 1.05}],
+               "initial": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+               "t_max": 200, "dt": 0.01}
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -149,10 +161,10 @@ class TestLoadScenario:
                                       "so the steps cannot resolve the fastest drive"]
 
     def test_memory_budget_boundary_at_d3(self):
-        # raman, d = 3, all outputs: 20 CSV columns; per sample the complex
-        # states and their real coordinates, within 2 * 16 * 9 bytes, and
-        # two records (2 * 8 * 20 bytes)
-        per_sample = 2 * 16 * 9 + 2 * 8 * 20
+        # raman, d = 3, all outputs: 20 CSV columns; per sample a trajectory's
+        # times, 9 real coordinates and 3 diagnostics (8 * 13 bytes), no complex
+        # states, and three records' rows (3 * 8 * 20 bytes)
+        per_sample = 8 * 13 + 3 * 8 * 20
         fits = MEMORY_BUDGET_BYTES // per_sample
         raman = {"kind": "raman", "Omega1": 0.1, "Omega2": 0.1, "omega1": 1.0,
                  "omega2": 1.02, "dt": 0.5}
@@ -192,7 +204,8 @@ class TestLoadScenario:
         columns = build_record(traj).columns
         assert ",".join(columns) == header
         assert len(columns) == 3 + d * d + 8 * (d == 3)
-        assert _bytes_per_sample(d) == 2 * 16 * d * d + 2 * 8 * len(columns)
+        states = 16 * d * d * (d >= 4)
+        assert _bytes_per_sample(d) == 8 * (d * d + 4) + states + 3 * 8 * len(columns)
 
     @pytest.mark.parametrize("cutoff", [0.01, 1.01])
     def test_cutoff_outside_the_modelled_filter_rejected(self, cutoff):
@@ -400,10 +413,11 @@ class TestRunScenario:
         w = (rho11 + rho22 - 2.0 * rho33) / (2.0 * np.sqrt(3.0))
         assert np.abs(col("bloch_w") - w).max() <= 4.5e-16
 
-    @pytest.mark.parametrize("config, reads", [(AC_MINIMAL, 0), (RAMAN, 2)],
-                             ids=["ac_stark", "raman"])
+    @pytest.mark.parametrize("config, reads", [(AC_MINIMAL, 0), (RAMAN, 0), (FOUR_LEVELS, 2)],
+                             ids=["ac_stark", "raman", "four_levels"])
     def test_run_builds_complex_states_once_per_model_for_eigenvalues(self, monkeypatch,
                                                                       config, reads):
+        # only eigvalsh, the minimum eigenvalue at d >= 4, reads states
         built, states = [], Trajectory.states.fget
 
         def counted(self):
@@ -638,10 +652,11 @@ class TestFormatRows:
         assert [Fraction(p) for p in _POW10] == [Fraction(10) ** m for m in range(21)]
 
 
-@pytest.mark.parametrize("config", [AC_MINIMAL, "raman.json"], ids=["ac_stark", "raman"])
+@pytest.mark.parametrize("config", [ONE_LEVEL, AC_MINIMAL, "raman.json", FOUR_LEVELS],
+                         ids=["one_level", "ac_stark", "raman", "four_levels"])
 def test_run_holds_one_trajectory_and_two_records(config):
     # peak traced memory of a run against one trajectory's complex states
-    # plus the two float records it returns
+    # plus the two float records it returns, and within the estimate validation uses
     cfg = (load_scenario(CONFIG_DIR / config) if isinstance(config, str)
            else scenario_from_dict(config))
     tracemalloc.start()
@@ -654,6 +669,7 @@ def test_run_holds_one_trajectory_and_two_records(config):
     states = 16 * d * d * (cfg.grid.n_steps + 1)
     records = result.exact.data.nbytes + result.effective.data.nbytes
     assert peak <= 1.5 * (states + records)
+    assert peak <= (cfg.grid.n_steps + 1) * _bytes_per_sample(d)
 
 
 class TestCompare:
